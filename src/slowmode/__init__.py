@@ -17,12 +17,8 @@ df/dt + v df/dx = (rho M - f)/tau around a global Gaussian equilibrium:
 * :mod:`slowmode.svgplot` -- deterministic SVG figures for the two
   comparison views.
 * :mod:`slowmode.cli` -- the ``slowmode`` command-line tool.
-
-Scalar numerical kernels run on a compiled Cython backend when built,
-with an automatic pure-Python fallback (see :func:`backend`).
 """
 
-from ._backend import backend
 from .ceseries import (
     CeSeries,
     DivergenceReport,
@@ -82,7 +78,6 @@ __all__ = [
     "VelocityGrid",
     "__version__",
     "a000699",
-    "backend",
     "branch_point",
     "build_operator",
     "ce_coefficients",

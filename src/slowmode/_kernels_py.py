@@ -1,10 +1,8 @@
-"""Pure-Python scalar kernels: erfcx, the Faddeeva function, and the
-monotone profile ``phi`` with its bisection solver.
+"""Scalar kernels: erfcx, the Faddeeva function, and the monotone
+profile ``phi`` with its bisection solver.
 
-This module is the fallback twin of the compiled extension
-``slowmode._kernels``.  Both implement the same algorithms with the same
-region switches and tolerances; ``slowmode._backend`` picks one at import
-time.  Keep the two in sync.
+These are unchecked inner routines; :mod:`slowmode.special` and
+:mod:`slowmode.dispersion` validate arguments before calling them.
 
 Algorithm map for ``faddeeva`` (w(z) = exp(-z^2) erfc(-iz)):
 
@@ -23,9 +21,7 @@ fraction loses accuracy close to the real axis at moderate ``|z|``.
 
 import math
 
-__all__ = ["erfcx", "faddeeva", "phi", "solve_phi", "BACKEND_KIND"]
-
-BACKEND_KIND = "python"
+__all__ = ["erfcx", "faddeeva", "phi", "solve_phi"]
 
 _SQRT_PI = math.sqrt(math.pi)
 _ISQRT_PI = 1.0 / _SQRT_PI

@@ -32,6 +32,7 @@ constant.  :func:`divergence_diagnostics` quantifies this by root tests
 and moment ratios of the computed coefficients.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,6 +252,15 @@ def ce_coefficients(order: int) -> CeSeries:
     return CeSeries(order=order, coefficients=tuple(coeffs))
 
 
+def _root_test(c: int, n: int) -> float:
+    """|c|^(1/(2n)); in log space once |c| exceeds double range
+    (first at n = 151), since math.log accepts integers of any size."""
+    try:
+        return abs(c) ** (1.0 / (2.0 * n))
+    except OverflowError:
+        return math.exp(math.log(abs(c)) / (2 * n))
+
+
 def divergence_diagnostics(series: CeSeries) -> DivergenceReport:
     """Growth diagnostics showing the expansion has zero radius of convergence."""
     moments = gaussian_moment_series(series.order)
@@ -258,8 +268,7 @@ def divergence_diagnostics(series: CeSeries) -> DivergenceReport:
         abs(c) / moments[n] for n, c in enumerate(series.coefficients, start=1)
     )
     root_tests = tuple(
-        abs(c) ** (1.0 / (2.0 * n))
-        for n, c in enumerate(series.coefficients, start=1)
+        _root_test(c, n) for n, c in enumerate(series.coefficients, start=1)
     )
     tail = root_tests[4:]
     increasing = len(tail) >= 2 and all(

@@ -23,7 +23,7 @@ single universal function F, exposed here as :func:`scaled_eigenvalue`.
 import math
 from dataclasses import dataclass
 
-from . import _backend
+from ._kernels_py import solve_phi
 from .errors import SelfCheckError
 from .special import plasma_z
 
@@ -118,7 +118,7 @@ def scaled_eigenvalue(x: float) -> float:
             f"supercritical scaled wave number {x!r}: no isolated slow mode "
             f"for tau*k >= sqrt(pi/2) = {CRITICAL_COUPLING!r}"
         )
-    y, _, _ = _backend.solve_phi(x)
+    y, _, _ = solve_phi(x)
     return x * y - 1.0
 
 
@@ -155,7 +155,7 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
         )
     if x >= CRITICAL_COUPLING:
         return None
-    y, width, iterations = _backend.solve_phi(x)
+    y, width, iterations = solve_phi(x)
     eigenvalue = (x * y - 1.0) / tau
     residual = abs(plasma_z(complex(0.0, y)) - complex(0.0, x))
     if residual > _RESIDUAL_LIMIT:

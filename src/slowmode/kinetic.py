@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import _validate_k, _validate_tau
+
 __all__ = [
     "DecayResult",
     "DiscreteOperator",
@@ -39,6 +41,11 @@ __all__ = [
 
 _MIN_POINTS = 2
 _MAX_POINTS = 256
+
+#: Largest time steps x velocity nodes one simulation may take; the
+#: ``expm`` route allocates an array of this size.  Default runs need
+#: at most 4000 x 256, about 1e6.
+_MAX_STEP_NODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -106,19 +113,15 @@ def gauss_hermite_grid(q: int) -> VelocityGrid:
     return VelocityGrid(nodes=x * math.sqrt(2.0), weights=w / math.sqrt(math.pi))
 
 
-def _validate_k_tau(k: float, tau: float) -> tuple[float, float]:
-    k = float(k)
-    tau = float(tau)
-    if not (math.isfinite(k) and k >= 0.0):
-        raise ValueError(f"wave number k must be >= 0, got {k!r}")
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"relaxation time tau must be positive, got {tau!r}")
-    return k, tau
-
-
 def build_operator(k: float, tau: float, grid: VelocityGrid) -> DiscreteOperator:
     """Assemble A = -i k diag(v) - (1/tau)(I - s s^T) on the given grid."""
-    k, tau = _validate_k_tau(k, tau)
+    k = _validate_k(k)
+    tau = _validate_tau(tau)
+    if not math.isfinite(k * float(np.max(np.abs(grid.nodes)))):
+        raise ValueError(
+            f"wave number k = {k!r} is too large: k * max|v| overflows "
+            f"on the {grid.q}-node velocity grid"
+        )
     s = np.sqrt(grid.weights)
     matrix = np.outer(s, s).astype(complex) / tau
     matrix -= np.diag(1.0 / tau + 1j * k * grid.nodes)
@@ -174,7 +177,9 @@ def simulate_density(
     grows beyond roundoff (the exact flow is non-expansive).
     ``method="expm"`` evaluates the matrix exponential through the
     eigendecomposition instead; the two routes agree to ~1e-8 and share
-    no time-stepping error, so they cross-validate each other.
+    no time-stepping error, so they cross-validate each other.  A request
+    for more than 2**24 steps x velocity nodes raises ValueError before
+    anything is allocated.
     """
     if t_end is None:
         t_end = 40.0 * op.tau
@@ -187,7 +192,14 @@ def simulate_density(
     if not (math.isfinite(dt) and 0.0 < dt <= t_end):
         raise ValueError(f"dt must be in (0, t_end], got {dt!r}")
 
-    steps = max(1, math.ceil(t_end / dt - 1e-12))
+    ratio = t_end / dt
+    if ratio * op.grid.q > _MAX_STEP_NODES:
+        raise ValueError(
+            f"dt = {dt!r} needs {ratio:.3g} steps to reach t_end = {t_end!r}, "
+            f"and steps x {op.grid.q} velocity nodes must stay within "
+            f"{_MAX_STEP_NODES}: raise dt or lower t_end"
+        )
+    steps = max(1, math.ceil(ratio - 1e-12))
     times = np.linspace(0.0, steps * dt, steps + 1)
     s = np.sqrt(op.grid.weights).astype(complex)
 

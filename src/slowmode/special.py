@@ -18,7 +18,7 @@ whose exact value overflows double precision (deep lower half-plane for
 
 import math
 
-from . import _backend
+from . import _kernels_py
 
 __all__ = ["erfcx", "faddeeva", "phi", "plasma_z", "plasma_z_deriv"]
 
@@ -55,7 +55,7 @@ def erfcx(y: float) -> float:
         raise ValueError(f"erfcx argument must be finite, got {y!r}")
     if y < 0.0:
         raise ValueError(f"erfcx argument must be >= 0, got {y!r}")
-    return _backend.erfcx(y)
+    return _kernels_py.erfcx(y)
 
 
 def faddeeva(z: complex) -> complex:
@@ -71,7 +71,7 @@ def faddeeva(z: complex) -> complex:
         raise OverflowError(
             f"faddeeva({z!r}) exceeds double precision range"
         )
-    return _backend.faddeeva(z)
+    return _kernels_py.faddeeva(z)
 
 
 def phi(y: float) -> float:
@@ -85,7 +85,7 @@ def phi(y: float) -> float:
         raise ValueError(f"phi argument must be finite, got {y!r}")
     if y < 0.0:
         raise ValueError(f"phi argument must be >= 0, got {y!r}")
-    return _backend.phi(y)
+    return _kernels_py.phi(y)
 
 
 def plasma_z(zeta: complex) -> complex:
@@ -102,7 +102,9 @@ def plasma_z(zeta: complex) -> complex:
     if zeta.real == 0.0:
         y = zeta.imag
         if y >= 0.0:
-            return complex(0.0, _SQRT_HALF_PI * _backend.erfcx(y * _SQRT_HALF))
+            return complex(
+                0.0, _SQRT_HALF_PI * _kernels_py.erfcx(y * _SQRT_HALF)
+            )
         if 0.5 * y * y > _EXP_LIMIT:
             raise OverflowError(
                 f"plasma_z({zeta!r}) exceeds double precision range"
@@ -111,14 +113,14 @@ def plasma_z(zeta: complex) -> complex:
         return complex(
             0.0,
             2.0 * _SQRT_HALF_PI * math.exp(0.5 * y * y)
-            - _SQRT_HALF_PI * _backend.erfcx(-y * _SQRT_HALF),
+            - _SQRT_HALF_PI * _kernels_py.erfcx(-y * _SQRT_HALF),
         )
     w_arg = complex(zeta.real * _SQRT_HALF, zeta.imag * _SQRT_HALF)
     if w_arg.imag < 0.0 and w_arg.imag**2 - w_arg.real**2 > _EXP_LIMIT:
         raise OverflowError(
             f"plasma_z({zeta!r}) exceeds double precision range"
         )
-    w = _backend.faddeeva(w_arg)
+    w = _kernels_py.faddeeva(w_arg)
     return complex(-_SQRT_HALF_PI * w.imag, _SQRT_HALF_PI * w.real)
 
 

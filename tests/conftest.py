@@ -6,7 +6,6 @@ adaptive quadrature, so agreement is evidence, not circularity.
 """
 
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -104,16 +103,12 @@ def grid64() -> slowmode.VelocityGrid:
     return slowmode.gauss_hermite_grid(64)
 
 
-def run_cli(args, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(args) -> subprocess.CompletedProcess:
     """Run the command-line tool in a subprocess and capture output."""
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "slowmode.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
 

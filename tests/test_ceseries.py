@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from slowmode import (
+    CeSeries,
     SelfCheckError,
     a000699,
     ce_coefficients,
@@ -233,6 +234,25 @@ class TestDivergenceDiagnostics:
     def test_short_series_has_no_band(self):
         report = divergence_diagnostics(ce_coefficients(6))
         assert report.ratio_band is None
+
+    def test_root_tests_beyond_double_range(self):
+        # |c_n| exceeds the largest double from n = 151 on; the series is
+        # built from the recurrence so no order-200 reversion runs.
+        magnitudes = a000699(200)
+        assert float(magnitudes[149]) < math.inf
+        with pytest.raises(OverflowError):
+            float(magnitudes[150])
+        series = CeSeries(
+            order=200,
+            coefficients=tuple(
+                (-1) ** n * a for n, a in enumerate(magnitudes, start=1)
+            ),
+        )
+        report = divergence_diagnostics(series)
+        assert all(math.isfinite(r) for r in report.root_tests)
+        assert report.root_test_increasing
+        for n, (a, r) in enumerate(zip(magnitudes, report.root_tests), start=1):
+            assert r == pytest.approx(math.exp(math.log(a) / (2 * n)), rel=1e-12), n
 
 
 def test_mul_trunc_matches_schoolbook():

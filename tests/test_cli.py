@@ -363,12 +363,20 @@ class TestErrorHandling:
             ["simulate", "--velocities", "1", "--points", "1"],
             ["spectrum", "--k", "0.5", "--gap-threshold", "0.0"],
             ["spectrum", "--k", "0.5", "--velocities", "257"],
+            ["spectrum", "--k", "1e308"],
         ],
     )
     def test_invalid_configuration_exits_2(self, args):
         result = run_cli(args)
         assert result.returncode == 2
         assert "error" in result.stderr.lower()
+
+    def test_oversized_simulation_exits_2(self):
+        # 4e10 steps on 64 velocity nodes: refused before any allocation.
+        result = run_cli(["simulate", "--points", "1", "--dt", "1e-9"])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "dt = 1e-09" in result.stderr
 
     def test_missing_required_argument_exits_2(self):
         assert run_cli(["spectrum"]).returncode == 2

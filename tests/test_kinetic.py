@@ -95,6 +95,8 @@ class TestBuildOperator:
             build_operator(0.5, 0.0, grid64)
         with pytest.raises(ValueError):
             build_operator(math.inf, 1.0, grid64)
+        with pytest.raises(ValueError, match="wave number"):
+            build_operator(1e308, 1.0, grid64)
 
 
 class TestOperatorSpectrum:
