@@ -85,6 +85,10 @@ def _validate_tau(tau: float) -> float:
     tau = float(tau)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"relaxation time tau must be positive, got {tau!r}")
+    if not math.isfinite(1.0 / tau):
+        raise ValueError(
+            f"relaxation time tau = {tau!r} is too small: 1/tau overflows"
+        )
     return tau
 
 

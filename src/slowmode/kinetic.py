@@ -136,13 +136,25 @@ def operator_spectrum(
     The candidate slow mode is the eigenvalue of largest real part; it
     counts as isolated only when its real-part gap to the next
     eigenvalue reaches ``gap_threshold`` (default 0.1/tau).
+
+    Every eigenvalue has real part in [-1/tau, 0].  Raises ValueError
+    when the wave number is so large that the eigensolver's roundoff,
+    eps k max|v|, reaches a tenth of that range: the real parts, and so
+    every gap, are then noise, whatever threshold is asked for.
     """
+    resolution = 0.1 / op.tau
     if gap_threshold is None:
-        gap_threshold = 0.1 / op.tau
+        gap_threshold = resolution
     gap_threshold = float(gap_threshold)
     if not (math.isfinite(gap_threshold) and gap_threshold > 0.0):
         raise ValueError(
             f"gap threshold must be positive, got {gap_threshold!r}"
+        )
+    roundoff = np.finfo(float).eps * op.k * float(np.max(np.abs(op.grid.nodes)))
+    if roundoff >= resolution:
+        raise ValueError(
+            f"wave number k = {op.k!r} is too large: the eigenvalue "
+            f"roundoff {roundoff:.3g} reaches 0.1/tau = {resolution:.3g}"
         )
     eigenvalues = np.linalg.eigvals(op.matrix)
     order = np.lexsort((eigenvalues.imag, -eigenvalues.real))

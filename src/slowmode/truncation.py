@@ -21,6 +21,7 @@ and worsens it near the critical point.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .ceseries import CeSeries
@@ -78,6 +79,14 @@ def _validate_suborder(series: CeSeries, order: int) -> int:
             f"truncation order must be in 1..{series.order} "
             f"(the series length), got {order!r}"
         )
+    # The magnitudes increase with n, so the top coefficient decides.
+    try:
+        float(series.coefficients[order - 1])
+    except OverflowError:
+        raise ValueError(
+            f"truncation order {order} is out of range: c_{order} exceeds "
+            f"the double range (|c| <= {sys.float_info.max:.4g})"
+        ) from None
     return order
 
 

@@ -2,9 +2,12 @@
 
 The oracles deliberately avoid the package's own algorithms: the
 Faddeeva and erfcx references integrate the defining integrals with
-adaptive quadrature, so agreement is evidence, not circularity.
+adaptive quadrature, and the expansion coefficients are recomputed by
+series reversion of the moment series instead of the profile ODE, so
+agreement is evidence, not circularity.
 """
 
+import functools
 import math
 import subprocess
 import sys
@@ -63,6 +66,105 @@ def erfcx_quadrature(y: float) -> float:
             epsrel=1e-14,
         )
     return 2.0 / math.sqrt(math.pi) * value
+
+
+# ---------------------------------------------------------------------------
+# Truncated power series over plain int.  A series is a list of
+# coefficients [f_0, f_1, ..., f_L] for f_0 + f_1 x + ... + f_L x^L.
+# ---------------------------------------------------------------------------
+
+
+def series_mul(a: list[int], b: list[int], L: int) -> list[int]:
+    """Product of two series truncated at degree L."""
+    out = [0] * (L + 1)
+    for i, ai in enumerate(a[: L + 1]):
+        if ai:
+            for j, bj in enumerate(b[: L + 1 - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def series_reciprocal(a: list[int], L: int) -> list[int]:
+    """1 / a truncated at degree L, for a unit constant term a[0] = +-1.
+
+    The unit constant term keeps every coefficient an integer: dividing
+    by a[0] is multiplying by it.
+    """
+    if a[0] not in (1, -1):
+        raise ValueError(f"series reciprocal needs a[0] = +-1, got {a[0]!r}")
+    out = [0] * (L + 1)
+    out[0] = a[0]
+    for m in range(1, L + 1):
+        acc = sum(a[j] * out[m - j] for j in range(1, min(m, len(a) - 1) + 1))
+        out[m] = -a[0] * acc
+    return out
+
+
+def series_in_square(coeffs: list[int], w: list[int], L: int) -> list[int]:
+    """sum_m coeffs[m] w^(2m) truncated at degree L, by Horner in w^2.
+
+    ``w`` must have zero constant term, so only the terms with 2m <= L
+    contribute.
+    """
+    w2 = series_mul(w, w, L)
+    coeffs = coeffs[: L // 2 + 1]
+    acc = [coeffs[-1]] + [0] * L
+    for c in reversed(coeffs[:-1]):
+        acc = series_mul(acc, w2, L)
+        acc[0] += c
+    return acc
+
+
+def moment_series(order: int) -> list[int]:
+    """Coefficients [S_0, ..., S_(2 order + 1)] of the odd moment series
+    S(u) = sum_m (-1)^m (2m-1)!! u^(2m+1), the large-y expansion of the
+    profile phi in u = 1/y.  The moments (2m-1)!! come from
+    gaussian_moment_series, which the tests check against quadrature."""
+    s = [0] * (2 * order + 2)
+    for m, moment in enumerate(slowmode.gaussian_moment_series(order)):
+        s[2 * m + 1] = (-1) ** m * moment
+    return s
+
+
+def branch_series_by_newton(order: int) -> list[int]:
+    """Coefficients [F_0, ..., F_(2 order)] of the scaled branch by
+    Newton reversion of the moment series.
+
+    With S(u) = x for u = 1/y, the reverse series w = S^{-1}(x) gives
+    F(x) = x / w(x) - 1.  Newton's step w <- w - (S(w) - x) / S'(w)
+    doubles the correct degree each pass.  S'(w) and w / x both have
+    constant term 1, so every division is exact over int.
+    """
+    L = 2 * order + 1
+    s_odd = moment_series(order)[1::2]
+    sp_even = [(2 * m + 1) * c for m, c in enumerate(s_odd)]
+    w = [0] * (L + 1)
+    w[1] = 1
+    prec = 1
+    while prec < L:
+        prec = min(2 * prec, L)
+        residual = series_mul(series_in_square(s_odd, w, prec), w, prec)
+        residual[1] -= 1
+        slope = series_in_square(sp_even, w, prec)
+        step = series_mul(residual, series_reciprocal(slope, prec), prec)
+        for i in range(prec + 1):
+            w[i] -= step[i]
+    lam = series_reciprocal(w[1:], 2 * order)
+    lam[0] -= 1
+    return lam
+
+
+@functools.cache
+def newton_oracle(order: int) -> tuple[int, ...]:
+    """Expansion coefficients c_1..c_order by Newton series reversion.
+
+    Asserts the structure the reversion does not impose by itself: the
+    branch series is even with F(0) = 0.
+    """
+    lam = branch_series_by_newton(order)
+    assert lam[0] == 0
+    assert all(lam[m] == 0 for m in range(1, 2 * order + 1, 2))
+    return tuple(lam[2 * n] for n in range(1, order + 1))
 
 
 #: Reference points for the Faddeeva oracle: Im z >= 0.1 (where the

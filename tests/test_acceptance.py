@@ -33,7 +33,13 @@ from slowmode import (
     solve_diffusion_mode,
 )
 
-from conftest import FADDEEVA_REFERENCE_POINTS, csv_sections, faddeeva_quadrature, run_cli
+from conftest import (
+    FADDEEVA_REFERENCE_POINTS,
+    csv_sections,
+    faddeeva_quadrature,
+    newton_oracle,
+    run_cli,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -60,10 +66,14 @@ def test_criterion_02_dual_route_magnitudes():
     for n in range(1, 31):
         assert abs(series.coefficients[n - 1]) == reference[n - 1]
     assert elapsed < 10.0
+    for order in (1, 2, 10, 30, 60):
+        assert ce_coefficients(order).coefficients == newton_oracle(order)
     _report(
         2,
-        "series-reversion magnitudes equal the quadratic-recurrence "
-        f"sequence for n = 1..30 in {elapsed:.3f} s",
+        "profile-ODE recurrence magnitudes equal the moment-series "
+        f"recurrence a000699 for n = 1..30 in {elapsed:.3f} s, and the "
+        "coefficients equal the Newton series reversion exactly at "
+        "orders 1, 2, 10, 30, 60",
     )
 
 

@@ -2,25 +2,25 @@
 
 import json
 import math
-from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
 
 from slowmode import (
-    CeSeries,
-    SelfCheckError,
     a000699,
     ce_coefficients,
     divergence_diagnostics,
     gaussian_moment_series,
     scaled_eigenvalue,
 )
-from slowmode.ceseries import (
-    _compose_odd,
-    _mul_trunc,
-    _scaled_branch_series,
-    _series_inverse,
+
+from conftest import (
+    branch_series_by_newton,
+    moment_series,
+    newton_oracle,
+    series_in_square,
+    series_mul,
+    series_reciprocal,
 )
 
 # Magnitudes |c_n| computed once from the quadratic recurrence; frozen
@@ -45,53 +45,23 @@ def lagrange_inversion_coefficients(order: int) -> list[int]:
     """Third route: coefficients via the Lagrange inversion formula.
 
     With S(u) = sum_m (-1)^m (2m-1)!! u^(2m+1), the reverse series
-    w = S^{-1} has [x^n] w = (1/n) [u^(n-1)] (u / S(u))^n.  This uses
-    its own little series arithmetic, independent of the package's.
+    w = S^{-1} has [x^n] w = (1/n) [u^(n-1)] (u / S(u))^n.  The
+    reverse of an integer series with unit linear term is an integer
+    series, so the division by n must leave no remainder.
     """
     L = 2 * order + 1
-    moments = gaussian_moment_series(order)
-    s = [Fraction(0)] * (L + 2)
-    for m in range(order + 1):
-        if 2 * m + 1 <= L + 1:
-            s[2 * m + 1] = Fraction((-1) ** m * moments[m])
-
-    def mul(a, b):
-        out = [Fraction(0)] * (L + 2)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj and i + j < len(out):
-                        out[i + j] += ai * bj
-        return out
-
-    def reciprocal(a):
-        # 1 / (a0 + a1 x + ...), a0 != 0.
-        out = [Fraction(0)] * (L + 2)
-        out[0] = 1 / a[0]
-        for m in range(1, L + 2):
-            acc = Fraction(0)
-            for j in range(1, m + 1):
-                if j < len(a) and a[j]:
-                    acc += a[j] * out[m - j]
-            out[m] = -acc / a[0]
-        return out
-
-    base = reciprocal(s[1:] + [Fraction(0)])  # u / S(u) as a series in u
-    w = [Fraction(0)] * (L + 1)
-    power = [Fraction(1)] + [Fraction(0)] * (L + 1)
+    base = series_reciprocal(moment_series(order)[1:], L)  # u / S(u)
+    w = [0] * (L + 1)
+    power = [1] + [0] * L
     for n in range(1, L + 1):
-        power = mul(power, base)
-        w[n] = power[n - 1] / n
+        power = series_mul(power, base, L)
+        w[n], remainder = divmod(power[n - 1], n)
+        assert remainder == 0, n
 
     # F(x) = x / w(x) - 1.
-    lam = reciprocal(w[1:] + [Fraction(0)])
+    lam = series_reciprocal(w[1:], 2 * order)
     lam[0] -= 1
-    coefficients = []
-    for n in range(1, order + 1):
-        c = lam[2 * n]
-        assert c.denominator == 1
-        coefficients.append(int(c))
-    return coefficients
+    return [lam[2 * n] for n in range(1, order + 1)]
 
 
 class TestGaussianMoments:
@@ -150,29 +120,30 @@ class TestCeCoefficients:
             lagrange_inversion_coefficients(10)
         )
 
+    @pytest.mark.parametrize("order", [1, 2, 10, 30, 60])
+    def test_matches_newton_reversion(self, order):
+        assert ce_coefficients(order).coefficients == newton_oracle(order)
+
     def test_series_parity_and_integrality(self):
-        lam = _scaled_branch_series(6)
+        lam = branch_series_by_newton(6)
         assert lam[0] == 0
         assert all(lam[m] == 0 for m in range(1, 13, 2))
-        assert all(lam[2 * n].denominator == 1 for n in range(1, 7))
+        assert all(isinstance(c, int) for c in lam)
+        assert [lam[2 * n] for n in range(1, 7)] == [-1, 1, -4, 27, -248, 2830]
 
     def test_reversion_self_consistency(self):
-        # Compose production S with the production reverse series: must
-        # give the identity series exactly.
+        # Rebuild the reverse series w from the production F and compose
+        # the moment series S with it: must give the identity exactly.
         order = 8
         L = 2 * order + 1
-        lam = _scaled_branch_series(order)
-        # Rebuild w from F: F = 1/W - 1 => W = 1/(1 + F), w = x W.
-        one_plus = [Fraction(1)] + [Fraction(0)] * (2 * order)
-        for i, v in enumerate(lam):
-            one_plus[i] += v
-        big_w = _series_inverse(one_plus, 2 * order)
-        w = [Fraction(0)] + big_w[: L]
-        moments = gaussian_moment_series(order)
-        s_odd = [(-1) ** m * moments[m] for m in range(order + 1)]
-        identity = _compose_odd(s_odd, w, L)
-        assert identity[1] == 1
-        assert all(identity[i] == 0 for i in range(L + 1) if i != 1)
+        one_plus = [1] + [0] * (2 * order)
+        for n, c in enumerate(ce_coefficients(order).coefficients, start=1):
+            one_plus[2 * n] += c
+        # F = 1/W - 1 => W = 1/(1 + F), w = x W.
+        w = [0] + series_reciprocal(one_plus, 2 * order)
+        s_odd = moment_series(order)[1::2]
+        identity = series_mul(series_in_square(s_odd, w, L), w, L)
+        assert identity == [0, 1] + [0] * (L - 1)
 
     def test_agrees_with_exact_branch_at_small_x(self):
         # Low truncations bound the exact branch: |F(x) - T_N(x)| <=
@@ -236,18 +207,13 @@ class TestDivergenceDiagnostics:
         assert report.ratio_band is None
 
     def test_root_tests_beyond_double_range(self):
-        # |c_n| exceeds the largest double from n = 151 on; the series is
-        # built from the recurrence so no order-200 reversion runs.
+        # |c_n| exceeds the largest double from n = 151 on.
+        series = ce_coefficients(200)
         magnitudes = a000699(200)
+        assert [abs(c) for c in series.coefficients] == magnitudes
         assert float(magnitudes[149]) < math.inf
         with pytest.raises(OverflowError):
             float(magnitudes[150])
-        series = CeSeries(
-            order=200,
-            coefficients=tuple(
-                (-1) ** n * a for n, a in enumerate(magnitudes, start=1)
-            ),
-        )
         report = divergence_diagnostics(series)
         assert all(math.isfinite(r) for r in report.root_tests)
         assert report.root_test_increasing
@@ -256,11 +222,12 @@ class TestDivergenceDiagnostics:
 
 
 def test_mul_trunc_matches_schoolbook():
-    a = [Fraction(1), Fraction(2), Fraction(3)]
-    b = [Fraction(-1), Fraction(4)]
-    assert _mul_trunc(a, b, 3) == [
-        Fraction(-1),
-        Fraction(2),
-        Fraction(5),
-        Fraction(12),
-    ]
+    assert series_mul([1, 2, 3], [-1, 4], 3) == [-1, 2, 5, 12]
+    assert series_mul([1, 2, 3], [-1, 4], 1) == [-1, 2]
+
+
+def test_series_reciprocal_inverts_exactly():
+    a = [-1, 3, 0, -7, 2]
+    assert series_mul(a, series_reciprocal(a, 6), 6) == [1, 0, 0, 0, 0, 0, 0]
+    with pytest.raises(ValueError):
+        series_reciprocal([2, 1], 3)

@@ -166,6 +166,17 @@ class TestCeCommand:
         again = run_cli(["ce", "--format", "json"])
         assert again.stdout == ce_json.stdout
 
+    def test_order_200(self):
+        # Past n = 150 the coefficients exceed double range; the root
+        # tests switch to log space and stay finite.
+        result = run_cli(["ce", "--order", "200"])
+        assert result.returncode == 0
+        table = csv_sections(result.stdout)[0]
+        assert len(table) == 201
+        for row in table[1:]:
+            assert str(abs(int(row[1]))) == row[2]
+            assert math.isfinite(float(row[4]))
+
 
 class TestCompareCommand:
     def test_csv_schema(self, compare_run):
@@ -364,6 +375,8 @@ class TestErrorHandling:
             ["spectrum", "--k", "0.5", "--gap-threshold", "0.0"],
             ["spectrum", "--k", "0.5", "--velocities", "257"],
             ["spectrum", "--k", "1e308"],
+            ["spectrum", "--k", "1e307"],
+            ["compare", "--orders", "151"],
         ],
     )
     def test_invalid_configuration_exits_2(self, args):
@@ -377,6 +390,22 @@ class TestErrorHandling:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "dt = 1e-09" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--tau", "1e-310", "--k", "0.5"],
+            ["compare", "--tau", "1e-310", "--orders", "1"],
+        ],
+    )
+    def test_subnormal_tau_exits_2(self, args):
+        # 1/tau overflows: refused up front, naming tau, before any
+        # numpy arithmetic warns about it.
+        result = run_cli(args)
+        assert result.returncode == 2
+        assert "tau" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_required_argument_exits_2(self):
         assert run_cli(["spectrum"]).returncode == 2

@@ -170,6 +170,15 @@ class TestOperatorSpectrum:
             spectrum = operator_spectrum(build_operator(k, 1.0, grid64))
             assert np.all(spectrum.eigenvalues.real >= -1.0 - 1e-10)
 
+    def test_rejects_wave_number_beyond_roundoff(self, grid64):
+        # At k = 1e307 the eigensolver's roundoff dwarfs the real-part
+        # range [-1/tau, 0]; no gap would mean anything.
+        op = build_operator(1e307, 1.0, grid64)
+        with pytest.raises(ValueError, match="wave number"):
+            operator_spectrum(op)
+        with pytest.raises(ValueError, match="wave number"):
+            operator_spectrum(op, gap_threshold=1e-300)
+
     def test_gap_threshold_override(self, grid64):
         op = build_operator(2.0, 1.0, grid64)
         assert operator_spectrum(op, gap_threshold=1e-300).hydrodynamic is not None

@@ -60,6 +60,16 @@ class TestEvalTruncation:
         with pytest.raises(ValueError):
             eval_truncation(series10, 2, math.nan)
 
+    def test_rejects_order_beyond_double_range(self):
+        # c_151 is the first coefficient no double can hold; c_150 is
+        # the last that converts.
+        series = ce_coefficients(151)
+        assert math.isfinite(eval_truncation(series, 150, 0.1))
+        with pytest.raises(ValueError, match="order 151"):
+            eval_truncation(series, 151, 0.1)
+        with pytest.raises(ValueError, match="order 151"):
+            classify_stability(series, 151)
+
 
 def scan_sign_change(series, order: int) -> float | None:
     """Brute-force oracle: first sign change of T_order on (0, 4]."""
