@@ -23,9 +23,8 @@ single universal function F, exposed here as :func:`scaled_eigenvalue`.
 import math
 from dataclasses import dataclass
 
-from ._kernels_py import solve_phi
 from .errors import SelfCheckError
-from .special import plasma_z
+from .special import plasma_z, solve_phi
 
 __all__ = [
     "CRITICAL_COUPLING",

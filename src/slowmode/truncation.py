@@ -97,10 +97,7 @@ def eval_truncation(series: CeSeries, order: int, x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"evaluation point must be finite, got {x!r}")
     t = x * x
-    acc = 0.0
-    for c in reversed(series.coefficients[:order]):
-        acc = acc * t + c
-    return acc * t + 0.0  # + 0.0 normalizes -0.0
+    return _poly_u(series, order, t) * t + 0.0  # + 0.0 normalizes -0.0
 
 
 def _poly_u(series: CeSeries, order: int, t: float) -> float:

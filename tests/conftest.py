@@ -2,17 +2,21 @@
 
 The oracles deliberately avoid the package's own algorithms: the
 Faddeeva and erfcx references integrate the defining integrals with
-adaptive quadrature, and the expansion coefficients are recomputed by
-series reversion of the moment series instead of the profile ODE, so
-agreement is evidence, not circularity.
+adaptive quadrature, the expansion coefficients are recomputed by
+series reversion of the moment series instead of the profile ODE, and
+the RK4 density trace is recomputed stage by stage instead of through
+the precomputed step matrix, so agreement is evidence, not circularity.
 """
 
 import functools
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
@@ -167,6 +171,34 @@ def newton_oracle(order: int) -> tuple[int, ...]:
     return tuple(lam[2 * n] for n in range(1, order + 1))
 
 
+def stagewise_rk4(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:
+    """Reference density trace s^T g(n dt), n = 0..steps, from g(0) = s:
+    classical RK4 as four matvec stages per step, with a per-step watch
+    that rejects dt once the solution norm grows.  ``simulate_density``
+    applies the same step as one precomputed matrix."""
+    s = np.sqrt(op.grid.weights).astype(complex)
+    a = op.matrix
+    g = s.copy()
+    density = np.empty(steps + 1, dtype=complex)
+    density[0] = s @ g
+    norm = float(np.linalg.norm(g))
+    for n in range(1, steps + 1):
+        k1 = a @ g
+        k2 = a @ (g + 0.5 * dt * k1)
+        k3 = a @ (g + 0.5 * dt * k2)
+        k4 = a @ (g + dt * k3)
+        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        new_norm = float(np.linalg.norm(g))
+        if new_norm > norm * (1.0 + 1e-9):
+            raise ValueError(
+                f"norm grew from {norm!r} to {new_norm!r} at t = {n * dt!r}: "
+                "the integration is unstable, reduce dt"
+            )
+        norm = new_norm
+        density[n] = s @ g
+    return density
+
+
 #: Reference points for the Faddeeva oracle: Im z >= 0.1 (where the
 #: quadrature is trustworthy), spread over every algorithm region of the
 #: implementation (small-|z| series, both continued-fraction regimes,
@@ -205,13 +237,21 @@ def grid64() -> slowmode.VelocityGrid:
     return slowmode.gauss_hermite_grid(64)
 
 
+#: The checkout's source tree, put on the subprocess path by run_cli.
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(args) -> subprocess.CompletedProcess:
-    """Run the command-line tool in a subprocess and capture output."""
+    """Run the command-line tool from the checkout's source tree in a
+    subprocess and capture output."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, "-m", "slowmode.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
 
 

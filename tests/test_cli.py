@@ -407,6 +407,16 @@ class TestErrorHandling:
         assert "RuntimeWarning" not in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_tiny_tau_simulates_cleanly(self):
+        # tau = 1e-300 puts every sample time near 1e-299, where t^2
+        # underflows; the rate fit must still succeed without warnings.
+        result = run_cli(
+            ["simulate", "--tau", "1e-300", "--points", "1", "--kmax", "1"]
+        )
+        assert result.returncode == 0
+        for noise in ("RuntimeWarning", "DLASCL", "Traceback"):
+            assert noise not in result.stderr
+
     def test_missing_required_argument_exits_2(self):
         assert run_cli(["spectrum"]).returncode == 2
 

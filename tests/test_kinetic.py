@@ -16,6 +16,9 @@ from slowmode import (
     simulate_density,
     solve_diffusion_mode,
 )
+from slowmode.kinetic import _default_dt
+
+from conftest import stagewise_rk4
 
 
 class TestGaussHermiteGrid:
@@ -213,6 +216,26 @@ class TestSimulateDensity:
         with pytest.raises(ValueError, match="reduce dt"):
             simulate_density(op, t_end=20.0, dt=1.0)
 
+    @pytest.mark.parametrize("q", [16, 64])
+    @pytest.mark.parametrize("k", [0.1, 0.5, 2.0])
+    def test_rk4_matches_stagewise_oracle(self, q, k):
+        # One matvec with the precomputed step matrix equals the four
+        # RK4 stages up to roundoff.
+        op = build_operator(k, 1.0, gauss_hermite_grid(q))
+        times, density = simulate_density(op)
+        oracle = stagewise_rk4(op, _default_dt(op), times.size - 1)
+        assert np.max(np.abs(density - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("q", [2, 8, 64])
+    @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("tau_k", [0.0, 0.5, 1.2, 3.0, 1e3])
+    def test_default_dt_passes_certificate(self, q, tau, tau_k):
+        # The step-matrix check runs before the first step; a short run
+        # at the default dt must pass it and stay non-expansive.
+        op = build_operator(tau_k / tau, tau, gauss_hermite_grid(q))
+        _, density = simulate_density(op, t_end=0.01 * tau)
+        assert np.all(np.abs(density) <= 1.0 + 1e-9)
+
     def test_rejects_bad_arguments(self, grid64):
         op = build_operator(0.5, 1.0, grid64)
         with pytest.raises(ValueError):
@@ -236,6 +259,13 @@ class TestFitDecayRate:
         density = np.exp(-0.2 * times) + 0.5 * np.exp(-5.0 * times)
         assert fit_decay_rate(times, density) == pytest.approx(-0.2, abs=1e-6)
 
+    def test_times_near_underflow(self):
+        # t^2 underflows at t ~ 1e-299; the fit must not square times.
+        times = np.linspace(0.0, 4e-299, 401)
+        rate = -2.5e298
+        density = np.exp(rate * times)
+        assert fit_decay_rate(times, density) == pytest.approx(rate, rel=1e-12)
+
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
             fit_decay_rate([0.0], [1.0])
@@ -245,6 +275,8 @@ class TestFitDecayRate:
             fit_decay_rate([0.0, 1.0], [1.0, 0.0])
         with pytest.raises(ValueError):
             fit_decay_rate([0.0, 1.0], [1.0, 1.0], fit_start=0.9)
+        with pytest.raises(ValueError, match="distinct times"):
+            fit_decay_rate([0.0, 1.0, 1.0], [1.0, 0.5, 0.5])
 
 
 class TestSimulateDecay:
