@@ -48,6 +48,9 @@ from .truncation import classify_stability, compare_to_exact
 
 log = logging.getLogger("slowmode")
 
+#: Largest grid a command builds; larger ones are refused before allocation.
+MAX_POINTS = 10**6
+
 
 def _configure_logging() -> None:
     """Log level comes from SLOWMODE_LOG_LEVEL (default WARNING)."""
@@ -85,6 +88,21 @@ def _write_csv(stream, sections) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+
+
+def _summary_section(summary: dict):
+    """A one-row CSV section whose header is the summary's keys."""
+    return list(summary), [list(summary.values())]
+
+
+def _records(header, rows) -> list[dict]:
+    """A table as JSON records keyed by its CSV header."""
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _columns(header, rows) -> list[list]:
+    """A table as one list per CSV column."""
+    return [[row[i] for row in rows] for i in range(len(header))]
 
 
 @contextlib.contextmanager
@@ -126,6 +144,8 @@ def _wave_grid(kmin: float, kmax: float | None, points: int, tau: float) -> list
     """Uniform half-open grid [kmin, kmax) with ``points`` nodes."""
     if points < 1:
         raise ValueError(f"--points must be >= 1, got {points!r}")
+    if points > MAX_POINTS:
+        raise ValueError(f"--points must be <= {MAX_POINTS}, got {points!r}")
     if not (math.isfinite(kmin) and kmin >= 0.0):
         raise ValueError(f"--kmin must be >= 0, got {kmin!r}")
     if kmax is None:
@@ -161,31 +181,16 @@ def cmd_branch(args) -> int:
             "(critical k = %r); emitting an empty table",
             table.critical_k,
         )
-    point_rows = [
+    header = ["k", "tau_k", "eigenvalue", "residual", "near_critical"]
+    rows = [
         [p.k, tau * p.k, p.eigenvalue, p.residual, p.near_critical]
         for p in table.points
     ]
-    sections = [
-        (["k", "tau_k", "eigenvalue", "residual", "near_critical"], point_rows),
-        (["tau", "critical_k"], [[table.tau, table.critical_k]]),
-    ]
+    summary = {"tau": table.tau, "critical_k": table.critical_k}
+    sections = [(header, rows), _summary_section(summary)]
     if table.excluded:
         sections.append((["excluded_k"], [[k] for k in table.excluded]))
-    payload = {
-        "tau": table.tau,
-        "critical_k": table.critical_k,
-        "points": [
-            {
-                "k": p.k,
-                "tau_k": tau * p.k,
-                "eigenvalue": p.eigenvalue,
-                "residual": p.residual,
-                "near_critical": p.near_critical,
-            }
-            for p in table.points
-        ],
-        "excluded": list(table.excluded),
-    }
+    payload = {**summary, "points": _records(header, rows), "excluded": table.excluded}
     _emit(args, payload, sections)
     return 0
 
@@ -194,6 +199,7 @@ def cmd_ce(args) -> int:
     series = ce_coefficients(args.order)
     reference = a000699(args.order)
     diagnostics = divergence_diagnostics(series)
+    header = ["n", "coefficient", "magnitude_reference", "moment_ratio", "root_test"]
     rows = [
         [
             n,
@@ -205,48 +211,33 @@ def cmd_ce(args) -> int:
         for n in range(1, series.order + 1)
     ]
     band = diagnostics.ratio_band
-    summary_header = [
-        "order",
-        "radius_estimate",
-        "root_test_increasing",
-        "ratio_min",
-        "ratio_max",
-    ]
-    summary_row = [
-        series.order,
-        diagnostics.radius_estimate,
-        diagnostics.root_test_increasing,
-        band[0] if band else None,
-        band[1] if band else None,
-    ]
-    sections = [
-        (
-            ["n", "coefficient", "magnitude_reference", "moment_ratio", "root_test"],
-            rows,
-        ),
-        (summary_header, [summary_row]),
-    ]
-    payload = {
+    summary = {
         "order": series.order,
-        "coefficients": series.json_coefficients(),
-        "magnitude_reference": [str(a) for a in reference],
-        "moment_ratios": list(diagnostics.ratios),
-        "root_tests": list(diagnostics.root_tests),
         "radius_estimate": diagnostics.radius_estimate,
         "root_test_increasing": diagnostics.root_test_increasing,
+        "ratio_min": band[0] if band else None,
+        "ratio_max": band[1] if band else None,
+    }
+    _, coefficients, magnitudes, ratios, root_tests = _columns(header, rows)
+    payload = {
+        "order": summary["order"],
+        "coefficients": coefficients,
+        "magnitude_reference": magnitudes,
+        "moment_ratios": ratios,
+        "root_tests": root_tests,
+        "radius_estimate": summary["radius_estimate"],
+        "root_test_increasing": summary["root_test_increasing"],
         "ratio_band": list(band) if band else None,
     }
-    _emit(args, payload, sections)
+    _emit(args, payload, [(header, rows), _summary_section(summary)])
     return 0
 
 
 def cmd_compare(args) -> int:
     tau = _positive_tau(args)
     orders = _parse_orders(args.orders)
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points!r}")
+    x_grid = _wave_grid(0.0, CRITICAL_COUPLING, args.points, tau)
     series = ce_coefficients(orders[-1])
-    x_grid = [CRITICAL_COUPLING * i / args.points for i in range(args.points)]
     comparison = compare_to_exact(x_grid, orders, series=series)
     reports = [classify_stability(series, order) for order in orders]
     for report in reports:
@@ -259,13 +250,21 @@ def cmd_compare(args) -> int:
                 CRITICAL_COUPLING,
             )
 
-    table_header = ["x", "k", "exact"] + [f"T{n}" for n in comparison.orders]
-    table_rows = []
-    for i, x in enumerate(comparison.x):
-        row = [x, x / tau, comparison.exact[i]]
-        row.extend(comparison.truncations[n][i] for n in comparison.orders)
-        table_rows.append(row)
-    report_rows = [
+    header = ["x", "k", "exact"] + [f"T{n}" for n in comparison.orders]
+    rows = [
+        [x, x / tau, comparison.exact[i]]
+        + [comparison.truncations[n][i] for n in comparison.orders]
+        for i, x in enumerate(comparison.x)
+    ]
+    stability_header = [
+        "order",
+        "stable",
+        "sign_change_x",
+        "precedes_criticality",
+        "sup_error_origin",
+        "sup_error_near_critical",
+    ]
+    stability_rows = [
         [
             r.order,
             r.stable,
@@ -276,43 +275,23 @@ def cmd_compare(args) -> int:
         ]
         for r in reports
     ]
-    sections = [
-        (table_header, table_rows),
-        (
-            [
-                "order",
-                "stable",
-                "sign_change_x",
-                "precedes_criticality",
-                "sup_error_origin",
-                "sup_error_near_critical",
-            ],
-            report_rows,
-        ),
-        (["tau", "critical_x", "critical_k"], [[tau, CRITICAL_COUPLING, critical_wave_number(tau)]]),
-    ]
-    payload = {
+    summary = {
         "tau": tau,
         "critical_x": CRITICAL_COUPLING,
         "critical_k": critical_wave_number(tau),
-        "x": list(comparison.x),
-        "k": [x / tau for x in comparison.x],
-        "exact": list(comparison.exact),
-        "truncations": {
-            str(n): list(comparison.truncations[n]) for n in comparison.orders
-        },
-        "stability": [
-            {
-                "order": r.order,
-                "stable": r.stable,
-                "sign_change_x": r.sign_change_x,
-                "precedes_criticality": r.precedes_criticality,
-                "sup_error_origin": comparison.sup_error_origin[r.order],
-                "sup_error_near_critical": comparison.sup_error_critical[r.order],
-            }
-            for r in reports
-        ],
     }
+    columns = _columns(header, rows)
+    payload = {
+        **summary,
+        **dict(zip(header[:3], columns)),
+        "truncations": dict(zip(map(str, comparison.orders), columns[3:])),
+        "stability": _records(stability_header, stability_rows),
+    }
+    sections = [
+        (header, rows),
+        (stability_header, stability_rows),
+        _summary_section(summary),
+    ]
     _emit(args, payload, sections)
     if args.svg:
         _write_svg(
@@ -332,8 +311,17 @@ def cmd_simulate(args) -> int:
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
     velocity_grid = gauss_hermite_grid(args.velocities)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
+    header = [
+        "k",
+        "tau_k",
+        "fitted_rate",
+        "closure_rate",
+        "abs_deviation",
+        "rel_deviation",
+        "dt",
+        "status",
+    ]
     rows = []
-    records = []
     for k in grid:
         op = build_operator(k, tau, velocity_grid)
         decay = simulate_decay(op, t_end=t_end, dt=args.dt, method=args.method)
@@ -349,45 +337,14 @@ def cmd_simulate(args) -> int:
         rows.append(
             [k, tau * k, decay.rate, closure, abs_dev, rel_dev, dt_used, status]
         )
-        records.append(
-            {
-                "k": k,
-                "tau_k": tau * k,
-                "fitted_rate": decay.rate,
-                "closure_rate": closure,
-                "abs_deviation": abs_dev,
-                "rel_deviation": rel_dev,
-                "dt": dt_used,
-                "status": status,
-            }
-        )
-    sections = [
-        (
-            [
-                "k",
-                "tau_k",
-                "fitted_rate",
-                "closure_rate",
-                "abs_deviation",
-                "rel_deviation",
-                "dt",
-                "status",
-            ],
-            rows,
-        ),
-        (
-            ["tau", "velocities", "t_end", "method"],
-            [[tau, args.velocities, t_end, args.method]],
-        ),
-    ]
-    payload = {
+    summary = {
         "tau": tau,
         "velocities": args.velocities,
         "t_end": t_end,
         "method": args.method,
-        "points": records,
     }
-    _emit(args, payload, sections)
+    payload = {**summary, "points": _records(header, rows)}
+    _emit(args, payload, [(header, rows), _summary_section(summary)])
     return 0
 
 
@@ -397,6 +354,7 @@ def cmd_spectrum(args) -> int:
     velocity_grid = gauss_hermite_grid(args.velocities)
     op = build_operator(k, tau, velocity_grid)
     spectrum = operator_spectrum(op, gap_threshold=args.gap_threshold)
+    header = ["re", "im", "hydrodynamic"]
     rows = [
         [
             float(e.real),
@@ -405,46 +363,17 @@ def cmd_spectrum(args) -> int:
         ]
         for i, e in enumerate(spectrum.eigenvalues)
     ]
-    merged = spectrum.hydrodynamic is None
-    sections = [
-        (["re", "im", "hydrodynamic"], rows),
-        (
-            [
-                "tau",
-                "k",
-                "velocities",
-                "essential_rate",
-                "gap",
-                "gap_threshold",
-                "merged",
-            ],
-            [
-                [
-                    tau,
-                    k,
-                    args.velocities,
-                    spectrum.essential_rate,
-                    spectrum.gap,
-                    spectrum.gap_threshold,
-                    merged,
-                ]
-            ],
-        ),
-    ]
-    payload = {
+    summary = {
         "tau": tau,
         "k": k,
         "velocities": args.velocities,
         "essential_rate": spectrum.essential_rate,
         "gap": spectrum.gap,
         "gap_threshold": spectrum.gap_threshold,
-        "merged": merged,
-        "eigenvalues": [
-            {"re": float(e.real), "im": float(e.imag), "hydrodynamic": bool(row[2])}
-            for e, row in zip(spectrum.eigenvalues, rows)
-        ],
+        "merged": spectrum.hydrodynamic is None,
     }
-    _emit(args, payload, sections)
+    payload = {**summary, "eigenvalues": _records(header, rows)}
+    _emit(args, payload, [(header, rows), _summary_section(summary)])
     if args.svg:
         _write_svg(
             args.svg,
@@ -471,6 +400,19 @@ def _add_output_options(sp) -> None:
     )
 
 
+def _add_grid_options(sp, points: int, points_help: str) -> None:
+    """--tau and the wave-number grid of ``branch`` and ``simulate``."""
+    sp.add_argument("--tau", type=float, default=1.0, help="relaxation time")
+    sp.add_argument("--kmin", type=float, default=0.0, help="grid start (default 0)")
+    sp.add_argument(
+        "--kmax",
+        type=float,
+        default=None,
+        help="grid end, exclusive (default: the critical wave number)",
+    )
+    sp.add_argument("--points", type=int, default=points, help=points_help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slowmode",
@@ -492,15 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subparsers.add_parser(
         "branch", help="sample the slow decay branch over a wave-number grid"
     )
-    sp.add_argument("--tau", type=float, default=1.0, help="relaxation time")
-    sp.add_argument("--kmin", type=float, default=0.0, help="grid start (default 0)")
-    sp.add_argument(
-        "--kmax",
-        type=float,
-        default=None,
-        help="grid end, exclusive (default: the critical wave number)",
-    )
-    sp.add_argument("--points", type=int, default=200, help="grid size (default 200)")
+    _add_grid_options(sp, 200, "grid size (default 200)")
     _add_output_options(sp)
     sp.set_defaults(func=cmd_branch)
 
@@ -535,20 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subparsers.add_parser(
         "simulate", help="kinetic decay simulation versus the dispersion solver"
     )
-    sp.add_argument("--tau", type=float, default=1.0, help="relaxation time")
-    sp.add_argument("--kmin", type=float, default=0.0, help="grid start (default 0)")
-    sp.add_argument(
-        "--kmax",
-        type=float,
-        default=None,
-        help="grid end, exclusive (default: the critical wave number)",
-    )
-    sp.add_argument(
-        "--points",
-        type=int,
-        default=8,
-        help="grid size (default 8; each point runs one simulation)",
-    )
+    _add_grid_options(sp, 8, "grid size (default 8; each point runs one simulation)")
     sp.add_argument(
         "--velocities", type=int, default=64, help="velocity grid size (default 64)"
     )

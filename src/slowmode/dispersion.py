@@ -21,6 +21,7 @@ single universal function F, exposed here as :func:`scaled_eigenvalue`.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import SelfCheckError
@@ -98,6 +99,16 @@ def _validate_k(k: float) -> float:
     return k
 
 
+def _check_normal(x: float) -> None:
+    """Refuse a subnormal scaled wave number x = tau*k: the profile
+    solve's initial bracket 2/x overflows there."""
+    if 0.0 < x < sys.float_info.min:
+        raise ValueError(
+            f"scaled wave number tau*k = {x!r} is subnormal (below "
+            f"{sys.float_info.min!r}); increase k or tau"
+        )
+
+
 def critical_wave_number(tau: float) -> float:
     """Largest wave number carrying an isolated slow mode: sqrt(pi/2)/tau."""
     tau = _validate_tau(tau)
@@ -116,6 +127,7 @@ def scaled_eigenvalue(x: float) -> float:
         raise ValueError(f"scaled wave number must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
+    _check_normal(x)
     if x >= CRITICAL_COUPLING:
         raise ValueError(
             f"supercritical scaled wave number {x!r}: no isolated slow mode "
@@ -146,9 +158,9 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
     k = _validate_k(k)
     tau = _validate_tau(tau)
     x = tau * k
-    if k == 0.0:
+    if x == 0.0:  # k = 0, or tau*k underflowed: F(x) = -x^2 + ... rounds to 0
         return BranchPoint(
-            k=0.0,
+            k=k,
             tau=tau,
             eigenvalue=0.0,
             residual=0.0,
@@ -156,6 +168,7 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
             bracket_width=0.0,
             iterations=0,
         )
+    _check_normal(x)
     if x >= CRITICAL_COUPLING:
         return None
     y, width, iterations = solve_phi(x)

@@ -91,13 +91,21 @@ def _validate_suborder(series: CeSeries, order: int) -> int:
 
 
 def eval_truncation(series: CeSeries, order: int, x: float) -> float:
-    """T_order(x) = sum_{n<=order} c_n x^(2n), by Horner in x^2."""
+    """T_order(x) = sum_{n<=order} c_n x^(2n), by Horner in x^2.
+
+    Raises ValueError when the value leaves the double range.
+    """
     order = _validate_suborder(series, order)
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"evaluation point must be finite, got {x!r}")
     t = x * x
-    return _poly_u(series, order, t) * t + 0.0  # + 0.0 normalizes -0.0
+    value = _poly_u(series, order, t) * t + 0.0  # + 0.0 normalizes -0.0
+    if not math.isfinite(value):
+        raise ValueError(
+            f"truncation order {order} overflows the double range at x = {x!r}"
+        )
+    return value
 
 
 def _poly_u(series: CeSeries, order: int, t: float) -> float:

@@ -19,11 +19,6 @@ def branch_csv():
 
 
 @pytest.fixture(scope="module")
-def branch_json():
-    return run_cli(["branch", "--points", "40", "--format", "json"])
-
-
-@pytest.fixture(scope="module")
 def ce_csv():
     return run_cli(["ce"])
 
@@ -67,16 +62,6 @@ class TestBranchCommand:
         table = csv_sections(branch_csv.stdout)[0]
         rates = [float(row[2]) for row in table[1:]]
         assert all(a > b for a, b in zip(rates, rates[1:]))
-
-    def test_json_matches_csv(self, branch_csv, branch_json):
-        assert branch_json.returncode == 0
-        payload = json.loads(branch_json.stdout)
-        table = csv_sections(branch_csv.stdout)[0]
-        assert len(payload["points"]) == len(table) - 1
-        for row, record in zip(table[1:], payload["points"]):
-            assert float(row[0]) == record["k"]
-            assert float(row[2]) == record["eigenvalue"]
-        assert payload["excluded"] == []
 
     def test_deterministic_output(self, branch_csv):
         again = run_cli(["branch", "--points", "40"])
@@ -360,6 +345,134 @@ class TestSpectrumCommand:
         assert payload["essential_rate"] == -1.0
 
 
+def _render(value) -> str:
+    """A JSON value in the README's CSV cell convention."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _table(header, rows):
+    return [list(header)] + [[_render(v) for v in row] for row in rows]
+
+
+def _record_table(header, records):
+    # Records carry exactly the CSV header's keys, in its order.
+    assert all(list(record) == header for record in records)
+    return _table(header, [[record[h] for h in header] for record in records])
+
+
+def _summary_table(header, payload):
+    # Summary keys sit at the top level of the JSON document.
+    return _table(header, [[payload[h] for h in header]])
+
+
+def _branch_sections(payload, headers):
+    sections = [
+        _record_table(headers[0], payload["points"]),
+        _summary_table(headers[1], payload),
+    ]
+    if payload["excluded"]:
+        sections.append(_table(["excluded_k"], [[k] for k in payload["excluded"]]))
+    return sections
+
+
+def _ce_sections(payload, headers):
+    columns = [
+        range(1, payload["order"] + 1),
+        payload["coefficients"],
+        payload["magnitude_reference"],
+        payload["moment_ratios"],
+        payload["root_tests"],
+    ]
+    low, high = payload["ratio_band"] or (None, None)
+    summary = [payload[h] for h in headers[1][:3]] + [low, high]
+    return [_table(headers[0], zip(*columns)), _table(headers[1], [summary])]
+
+
+def _compare_sections(payload, headers):
+    orders = sorted(payload["truncations"], key=int)
+    columns = [payload["x"], payload["k"], payload["exact"]]
+    columns += [payload["truncations"][n] for n in orders]
+    return [
+        _table(["x", "k", "exact"] + [f"T{n}" for n in orders], zip(*columns)),
+        _record_table(headers[1], payload["stability"]),
+        _summary_table(headers[2], payload),
+    ]
+
+
+def _simulate_sections(payload, headers):
+    return [
+        _record_table(headers[0], payload["points"]),
+        _summary_table(headers[1], payload),
+    ]
+
+
+def _spectrum_sections(payload, headers):
+    return [
+        _record_table(headers[0], payload["eigenvalues"]),
+        _summary_table(headers[1], payload),
+    ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["branch", "--points", "40"],
+        ["branch", "--kmin", "1.0", "--kmax", "1.5", "--points", "4"],
+        ["ce", "--order", "12"],
+        ["compare", "--points", "10", "--orders", "2,1,3", "--tau", "0.7"],
+        [
+            "simulate",
+            "--kmin",
+            "0.5",
+            "--kmax",
+            "2.5",
+            "--points",
+            "2",
+            "--velocities",
+            "16",
+            "--t-end",
+            "4",
+            "--method",
+            "expm",
+        ],
+        ["spectrum", "--k", "0.5", "--velocities", "8"],
+    ],
+    ids=["branch", "branch-excluded", "ce", "compare", "simulate", "spectrum"],
+)
+def test_json_matches_csv(args):
+    # Every CSV cell is the JSON value at its place in the documented
+    # layout, rendered with the CSV cell rules, and nothing is left over.
+    csv_run = run_cli(args)
+    json_run = run_cli(args + ["--format", "json"])
+    assert csv_run.returncode == 0
+    assert json_run.returncode == 0
+    payload = json.loads(json_run.stdout)
+    sections = csv_sections(csv_run.stdout)
+    headers = [section[0] for section in sections]
+    rebuild = {
+        "branch": _branch_sections,
+        "ce": _ce_sections,
+        "compare": _compare_sections,
+        "simulate": _simulate_sections,
+        "spectrum": _spectrum_sections,
+    }[args[0]]
+    assert rebuild(payload, headers) == sections
+    if args[0] == "branch":
+        table = sections[0]
+        assert len(payload["points"]) == len(table) - 1
+        for row, record in zip(table[1:], payload["points"]):
+            assert float(row[0]) == record["k"]
+            assert float(row[2]) == record["eigenvalue"]
+        excluded = sections[2][1:] if len(sections) == 3 else []
+        assert payload["excluded"] == [float(row[0]) for row in excluded]
+
+
 class TestErrorHandling:
     @pytest.mark.parametrize(
         "args",
@@ -377,12 +490,42 @@ class TestErrorHandling:
             ["spectrum", "--k", "1e308"],
             ["spectrum", "--k", "1e307"],
             ["compare", "--orders", "151"],
+            ["branch", "--kmin", "1e-310", "--kmax", "1e-309", "--points", "1"],
+            ["simulate", "--kmin", "5e-324", "--kmax", "1e-320", "--points", "1"],
         ],
     )
     def test_invalid_configuration_exits_2(self, args):
         result = run_cli(args)
         assert result.returncode == 2
         assert "error" in result.stderr.lower()
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["branch", "--points", "1000000000"], "--points"),
+            (["compare", "--points", "1000000000"], "--points"),
+            (["simulate", "--points", "1000000000"], "--points"),
+            (["compare", "--orders", "140"], "order 140"),
+        ],
+    )
+    def test_refusal_names_the_input(self, args, named):
+        # Refused before the grid is built, or before non-finite
+        # truncations reach the output.
+        result = run_cli(args)
+        assert result.returncode == 2
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_underflowing_tau_k_is_the_origin(self):
+        # tau*k underflows to 0: the point is the origin of the branch,
+        # reported at the caller's k.
+        result = run_cli(
+            ["branch", "--tau", "1e-12", "--kmin", "5e-324", "--kmax", "1e-300"]
+            + ["--points", "1"]
+        )
+        assert result.returncode == 0
+        row = csv_sections(result.stdout)[0][1]
+        assert row[:4] == ["5e-324", "0.0", "0.0", "0.0"]
 
     def test_oversized_simulation_exits_2(self):
         # 4e10 steps on 64 velocity nodes: refused before any allocation.

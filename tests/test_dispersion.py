@@ -144,6 +144,23 @@ class TestBranchPoint:
     def test_supercritical_returns_none(self):
         assert branch_point(2.0, 1.0) is None
 
+    def test_tiny_scaled_wave_numbers(self):
+        # tau*k underflows to 0: the origin of the branch, at the caller's k.
+        point = branch_point(5e-324, 1e-12)
+        assert point.k == 5e-324
+        assert (point.eigenvalue, point.residual, point.iterations) == (0.0, 0.0, 0)
+        # Subnormal tau*k: refused by name instead of overflowing the
+        # solver's bracket 2/(tau*k).
+        for call in (
+            lambda: branch_point(1e-310, 1.0),
+            lambda: scaled_eigenvalue(1e-310),
+            lambda: solve_diffusion_mode(5e-324, 1.0),
+        ):
+            with pytest.raises(ValueError, match=r"tau\*k = .* is subnormal"):
+                call()
+        smallest = 2.2250738585072014e-308
+        assert -1e-15 < branch_point(smallest, 1.0).eigenvalue <= 0.0
+
     def test_residual_bound(self):
         rng = np.random.default_rng(23)
         for _ in range(80):

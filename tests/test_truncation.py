@@ -70,6 +70,18 @@ class TestEvalTruncation:
         with pytest.raises(ValueError, match="order 151"):
             classify_stability(series, 151)
 
+    def test_rejects_overflowing_result(self):
+        # T_140 leaves the double range just below sqrt(pi/2); T_139 and
+        # T_140 at a smaller x stay finite.
+        series = ce_coefficients(140)
+        x = 0.995 * CRITICAL_COUPLING
+        assert math.isfinite(eval_truncation(series, 139, x))
+        assert math.isfinite(eval_truncation(series, 140, 1.0))
+        with pytest.raises(ValueError, match=r"order 140 .* x = 1\.247"):
+            eval_truncation(series, 140, x)
+        with pytest.raises(ValueError, match="order 140"):
+            compare_to_exact([0.5, x], [139, 140], series=series)
+
 
 def scan_sign_change(series, order: int) -> float | None:
     """Brute-force oracle: first sign change of T_order on (0, 4]."""
