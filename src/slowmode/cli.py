@@ -37,12 +37,6 @@ from .dispersion import (
     solve_diffusion_mode,
 )
 from .errors import SelfCheckError
-from .kinetic import (
-    build_operator,
-    gauss_hermite_grid,
-    operator_spectrum,
-    simulate_decay,
-)
 from .svgplot import comparison_svg, spectrum_svg
 from .truncation import classify_stability, compare_to_exact
 
@@ -50,6 +44,36 @@ log = logging.getLogger("slowmode")
 
 #: Largest grid a command builds; larger ones are refused before allocation.
 MAX_POINTS = 10**6
+
+#: Names from :mod:`slowmode.kinetic`, the one module that needs numpy.
+#: They are bound on first use, so ``branch``, ``ce`` and ``compare``
+#: never load numpy.
+_KINETIC_NAMES = (
+    "build_operator",
+    "gauss_hermite_grid",
+    "operator_spectrum",
+    "simulate_decay",
+)
+
+
+def _bind_kinetic() -> None:
+    """Import the kinetic names into this module's namespace.
+
+    ``setdefault`` keeps a name that is already bound, such as a wrapper
+    installed from outside through ``slowmode.cli.<name>``.
+    """
+    from . import kinetic
+
+    namespace = globals()
+    for name in _KINETIC_NAMES:
+        namespace.setdefault(name, getattr(kinetic, name))
+
+
+def __getattr__(name: str):
+    if name in _KINETIC_NAMES:
+        _bind_kinetic()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _configure_logging() -> None:
@@ -307,6 +331,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _bind_kinetic()
     tau = _positive_tau(args)
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
     velocity_grid = gauss_hermite_grid(args.velocities)
@@ -349,6 +374,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _bind_kinetic()
     tau = _positive_tau(args)
     k = float(args.k)
     velocity_grid = gauss_hermite_grid(args.velocities)

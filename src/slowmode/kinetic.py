@@ -200,6 +200,11 @@ def simulate_density(
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     if dt is None:
         dt = _default_dt(op)
+        if dt > t_end:
+            raise ValueError(
+                f"t_end = {t_end!r} is shorter than the automatic time step "
+                f"{dt!r}: raise t_end or pass a smaller dt"
+            )
     dt = float(dt)
     if not (math.isfinite(dt) and 0.0 < dt <= t_end):
         raise ValueError(f"dt must be in (0, t_end], got {dt!r}")

@@ -288,8 +288,9 @@ def solve_phi(c: float) -> tuple[float, float, int]:
             break
     y = 0.5 * (a + b)
     for _ in range(4):
-        f = _phi(y) - c
-        d = y * _phi(y) - 1.0
+        p = _phi(y)
+        f = p - c
+        d = y * p - 1.0
         if d == 0.0:
             break
         step = f / d

@@ -237,17 +237,23 @@ def grid64() -> slowmode.VelocityGrid:
     return slowmode.gauss_hermite_grid(64)
 
 
-#: The checkout's source tree, put on the subprocess path by run_cli.
+#: The checkout's source tree, put on the subprocess path by run_python.
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args) -> subprocess.CompletedProcess:
     """Run the command-line tool from the checkout's source tree in a
     subprocess and capture output."""
+    return run_python(["-m", "slowmode.cli", *args])
+
+
+def run_python(args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the checkout's source tree on its
+    path and capture output."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, "-m", "slowmode.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=300,

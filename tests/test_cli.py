@@ -506,6 +506,7 @@ class TestErrorHandling:
             (["compare", "--points", "1000000000"], "--points"),
             (["simulate", "--points", "1000000000"], "--points"),
             (["compare", "--orders", "140"], "order 140"),
+            (["simulate", "--points", "1", "--t-end", "1e-300"], "t_end = 1e-300"),
         ],
     )
     def test_refusal_names_the_input(self, args, named):

@@ -240,8 +240,12 @@ class TestSimulateDensity:
         op = build_operator(0.5, 1.0, grid64)
         with pytest.raises(ValueError):
             simulate_density(op, t_end=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dt must be"):
             simulate_density(op, t_end=1.0, dt=2.0)
+        # The automatic step is 0.01 tau here; a shorter horizon names
+        # t_end, not the dt the caller never passed.
+        with pytest.raises(ValueError, match="raise t_end or pass a smaller dt"):
+            simulate_density(op, t_end=1e-3)
         with pytest.raises(ValueError):
             simulate_density(op, method="euler")
 

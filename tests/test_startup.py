@@ -1,0 +1,86 @@
+"""numpy is loaded only by the kinetic layer.
+
+Only :mod:`slowmode.kinetic` needs numpy, so ``import slowmode`` and the
+``branch``, ``ce`` and ``compare`` commands must run without it, while
+the kinetic names stay reachable from the package and from
+``slowmode.cli``.  Each check runs in a fresh interpreter: another test
+in this process may already have imported numpy.
+"""
+
+import textwrap
+
+import pytest
+
+from conftest import run_python
+
+CHECKS = {
+    "light_commands_skip_numpy": """
+        import contextlib, io, sys
+        from slowmode.cli import main
+
+        for argv in (
+            ["branch", "--points", "3"],
+            ["ce", "--order", "5"],
+            ["compare", "--points", "3"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        assert "numpy" not in sys.modules
+    """,
+    "package_names": """
+        import sys
+        import slowmode
+
+        assert getattr(slowmode, "backend", None) is None
+        assert set(slowmode.__all__) <= set(dir(slowmode))
+        assert "numpy" not in sys.modules
+        # The submodule is looked up first, so both lazy routes run.
+        assert slowmode.kinetic.build_operator is slowmode.build_operator
+        assert "numpy" in sys.modules
+    """,
+    "star_import": """
+        import slowmode
+        from slowmode import *
+
+        missing = [name for name in slowmode.__all__ if name not in globals()]
+        assert not missing, missing
+    """,
+    "cli_names_before_any_command": """
+        import slowmode.cli as cli
+        import slowmode.kinetic as kinetic
+
+        for name in (
+            "build_operator",
+            "gauss_hermite_grid",
+            "operator_spectrum",
+            "simulate_decay",
+        ):
+            value = getattr(cli, name)
+            assert callable(value), name
+            assert value is getattr(kinetic, name), name
+        assert getattr(cli, "backend", None) is None
+    """,
+    "cli_keeps_a_name_bound_from_outside": """
+        import contextlib, io
+        import slowmode.cli as cli
+
+        original = cli.build_operator
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        cli.build_operator = wrapped
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--points", "1", "--velocities", "8"]) == 0
+        assert len(calls) == 1
+        assert cli.build_operator is wrapped
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_in_fresh_interpreter(name):
+    result = run_python(["-c", textwrap.dedent(CHECKS[name])])
+    assert result.returncode == 0, result.stderr
