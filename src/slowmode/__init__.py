@@ -3,8 +3,9 @@
 The package studies the linear kinetic equation
 df/dt + v df/dx = (rho M - f)/tau around a global Gaussian equilibrium:
 
-* :mod:`slowmode.special` -- the underlying special functions (Faddeeva,
-  scaled complementary error function, the dispersion profile phi).
+* :mod:`slowmode.special` -- the underlying special functions (scaled
+  complementary error function, the dispersion profile phi, and the
+  plasma dispersion function on the imaginary axis).
 * :mod:`slowmode.dispersion` -- the isolated slow decay branch
   lambda_d(k, tau), its critical wave number sqrt(pi/2)/tau, and the
   scaling law tau lambda_d = F(tau k).
@@ -46,7 +47,7 @@ from .dispersion import (
     solve_diffusion_mode,
 )
 from .errors import SelfCheckError
-from .special import erfcx, faddeeva, phi, plasma_z, plasma_z_deriv
+from .special import erfcx, phi, plasma_z
 from .svgplot import comparison_svg, spectrum_svg
 from .truncation import (
     TruncationComparison,
@@ -66,7 +67,6 @@ _KINETIC_NAMES = frozenset(
         "SpectrumResult",
         "VelocityGrid",
         "build_operator",
-        "evolve_closure",
         "fit_decay_rate",
         "gauss_hermite_grid",
         "operator_spectrum",
@@ -100,15 +100,12 @@ __all__ = [
     "divergence_diagnostics",
     "erfcx",
     "eval_truncation",
-    "evolve_closure",
-    "faddeeva",
     "fit_decay_rate",
     "gauss_hermite_grid",
     "gaussian_moment_series",
     "operator_spectrum",
     "phi",
     "plasma_z",
-    "plasma_z_deriv",
     "sample_branch",
     "scaled_eigenvalue",
     "simulate_decay",

@@ -62,19 +62,6 @@ class CeSeries:
     order: int
     coefficients: tuple[int, ...]
 
-    def coefficient(self, n: int) -> int:
-        """Coefficient c_n of x^(2n), 1-based."""
-        if not 1 <= n <= self.order:
-            raise ValueError(
-                f"coefficient index must be in 1..{self.order}, got {n!r}"
-            )
-        return self.coefficients[n - 1]
-
-    def json_coefficients(self) -> list[str]:
-        """Coefficients as decimal strings (exact at any size, unlike
-        binary floating point, which would corrupt them beyond 2**53)."""
-        return [str(c) for c in self.coefficients]
-
 
 @dataclass(frozen=True)
 class DivergenceReport:

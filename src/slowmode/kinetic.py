@@ -31,7 +31,6 @@ __all__ = [
     "SpectrumResult",
     "VelocityGrid",
     "build_operator",
-    "evolve_closure",
     "fit_decay_rate",
     "gauss_hermite_grid",
     "operator_spectrum",
@@ -293,12 +292,3 @@ def simulate_decay(
         fit_start=fit_start,
         method=method,
     )
-
-
-def evolve_closure(rho0: complex, rate: float, times) -> np.ndarray:
-    """Closure-level density evolution rho0 * exp(rate * t)."""
-    rate = float(rate)
-    if not math.isfinite(rate):
-        raise ValueError(f"decay rate must be finite, got {rate!r}")
-    times = np.asarray(times, dtype=float)
-    return complex(rho0) * np.exp(rate * times)

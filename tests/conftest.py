@@ -1,9 +1,9 @@
 """Shared fixtures and independent numerical oracles.
 
-The oracles deliberately avoid the package's own algorithms: the
-Faddeeva and erfcx references integrate the defining integrals with
-adaptive quadrature, the expansion coefficients are recomputed by
-series reversion of the moment series instead of the profile ODE, and
+The oracles deliberately avoid the package's own algorithms: the erfcx
+reference integrates the defining integral with adaptive quadrature,
+the expansion coefficients are recomputed by series reversion of the
+moment series instead of the profile ODE, and
 the RK4 density trace is recomputed stage by stage instead of through
 the precomputed step matrix, so agreement is evidence, not circularity.
 """
@@ -21,31 +21,6 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import slowmode
-
-
-def faddeeva_quadrature(z: complex) -> complex:
-    """w(z) = (i/pi) * integral exp(-t^2) / (z - t) dt, for Im z > 0.
-
-    Adaptive quadrature of the defining resolvent integral with a
-    subdivision hint at the near-singularity t = Re z.  Reliable to
-    ~1e-12 for Im z >= 0.1 (closer to the axis the integrand becomes a
-    delta-like spike and quadrature degrades).
-    """
-    if z.imag <= 0.0:
-        raise ValueError("quadrature oracle requires Im z > 0")
-    hint = sorted({-12.0, min(max(z.real, -11.9), 11.9), 12.0})
-
-    def real_part(t: float) -> float:
-        d = z - t
-        return math.exp(-t * t) * d.imag / (d.real * d.real + d.imag * d.imag)
-
-    def imag_part(t: float) -> float:
-        d = z - t
-        return math.exp(-t * t) * d.real / (d.real * d.real + d.imag * d.imag)
-
-    re, _ = quad(real_part, -12, 12, points=hint, limit=800, epsabs=1e-15, epsrel=1e-13)
-    im, _ = quad(imag_part, -12, 12, points=hint, limit=800, epsabs=1e-15, epsrel=1e-13)
-    return complex(re / math.pi, im / math.pi)
 
 
 def erfcx_quadrature(y: float) -> float:
@@ -197,34 +172,6 @@ def stagewise_rk4(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.nd
         norm = new_norm
         density[n] = s @ g
     return density
-
-
-#: Reference points for the Faddeeva oracle: Im z >= 0.1 (where the
-#: quadrature is trustworthy), spread over every algorithm region of the
-#: implementation (small-|z| series, both continued-fraction regimes,
-#: and the near-real-axis band).
-FADDEEVA_REFERENCE_POINTS = (
-    complex(0.2, 0.15),
-    complex(0.3, 0.4),
-    complex(0.0, 1.0),
-    complex(1.0, 0.2),
-    complex(1.2, 0.8),
-    complex(1.5, 1.5),
-    complex(2.0, 0.5),
-    complex(2.5, 0.1),
-    complex(3.0, 0.2),
-    complex(3.5, 0.9),
-    complex(4.0, 0.4),
-    complex(5.0, 0.15),
-    complex(0.5, 3.0),
-    complex(6.0, 1.1),
-    complex(6.5, 0.3),
-    complex(7.5, 0.8),
-    complex(8.5, 0.5),
-    complex(9.0, 2.0),
-    complex(2.0, 6.0),
-    complex(10.0, 0.5),
-)
 
 
 @pytest.fixture(scope="session")

@@ -23,20 +23,18 @@ from slowmode import (
     critical_wave_number,
     divergence_diagnostics,
     eval_truncation,
-    faddeeva,
     gauss_hermite_grid,
     operator_spectrum,
+    phi,
     plasma_z,
-    plasma_z_deriv,
     scaled_eigenvalue,
     simulate_decay,
     solve_diffusion_mode,
 )
 
 from conftest import (
-    FADDEEVA_REFERENCE_POINTS,
     csv_sections,
-    faddeeva_quadrature,
+    erfcx_quadrature,
     newton_oracle,
     run_cli,
 )
@@ -194,42 +192,44 @@ def test_criterion_08_kinetics_cross_validation():
 
 
 def test_criterion_09_special_function_suite():
-    rng = np.random.default_rng(7)
-    worst_residual = 0.0
-    for _ in range(100):
-        zeta = complex(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 2.0))
-        residual = abs(plasma_z_deriv(zeta) + 1.0 + zeta * plasma_z(zeta))
-        worst_residual = max(worst_residual, residual)
-    assert worst_residual <= 1e-12
-
-    # Independent derivative estimate: fourth-order central differences
-    # confirm the derivative route is the derivative of the value route.
-    h = 1e-3
-    worst_fd = 0.0
-    for _ in range(20):
-        zeta = complex(rng.uniform(-2.0, 2.0), rng.uniform(-0.5, 1.5))
-        stencil = (
-            -plasma_z(zeta + 2 * h)
-            + 8.0 * plasma_z(zeta + h)
-            - 8.0 * plasma_z(zeta - h)
-            + plasma_z(zeta - 2 * h)
+    # The profile ODE phi'(y) = y phi(y) - 1 for phi(y) = Im Z(iy),
+    # checked with fourth-order central differences of the value route
+    # on both halves of the imaginary axis.
+    def stencil(y: float, h: float = 1e-3) -> float:
+        return (
+            -plasma_z(complex(0.0, y + 2 * h)).imag
+            + 8.0 * plasma_z(complex(0.0, y + h)).imag
+            - 8.0 * plasma_z(complex(0.0, y - h)).imag
+            + plasma_z(complex(0.0, y - 2 * h)).imag
         ) / (12.0 * h)
-        worst_fd = max(worst_fd, abs(stencil - plasma_z_deriv(zeta)))
-    assert worst_fd <= 5e-12
+
+    rng = np.random.default_rng(7)
+    worst_upper = 0.0
+    for y in rng.uniform(0.0, 4.0, 200):
+        slope = y * plasma_z(complex(0.0, y)).imag - 1.0
+        worst_upper = max(worst_upper, abs(stencil(y) - slope))
+    assert worst_upper <= 5e-12
+    worst_lower = 0.0
+    for y in rng.uniform(-2.0, 0.0, 200):
+        slope = y * plasma_z(complex(0.0, y)).imag - 1.0
+        worst_lower = max(
+            worst_lower, abs(stencil(y) - slope) / max(1.0, abs(slope))
+        )
+    assert worst_lower <= 5e-12
 
     assert abs(plasma_z(0.0) - 1j * math.sqrt(math.pi / 2.0)) <= 1e-14
 
-    worst_w = 0.0
-    assert len(FADDEEVA_REFERENCE_POINTS) == 20
-    for z in FADDEEVA_REFERENCE_POINTS:
-        worst_w = max(worst_w, abs(faddeeva(z) - faddeeva_quadrature(z)))
-    assert worst_w <= 1e-10
+    worst_phi = 0.0
+    for y in np.geomspace(0.1, 20.0, 20):
+        reference = math.sqrt(math.pi / 2.0) * erfcx_quadrature(y / math.sqrt(2.0))
+        worst_phi = max(worst_phi, abs(phi(y) - reference) / reference)
+    assert worst_phi <= 1e-10
     _report(
         9,
-        f"derivative identity residual {worst_residual:.2e} on 100 points "
-        f"(finite-difference cross-check {worst_fd:.2e}); value at zero "
-        f"within 1e-14; quadrature-oracle deviation {worst_w:.2e} over "
-        "20 reference points",
+        f"profile ODE residual {worst_upper:.2e} on y in [0, 4] and "
+        f"{worst_lower:.2e} (relative) on [-2, 0) over 200 points each; "
+        f"value at zero within 1e-14; quadrature-oracle deviation "
+        f"{worst_phi:.2e} over 20 reference points",
     )
 
 

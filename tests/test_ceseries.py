@@ -1,6 +1,5 @@
 """Exact expansion coefficients: values, dual routes, divergence."""
 
-import json
 import math
 
 import pytest
@@ -163,21 +162,6 @@ class TestCeCoefficients:
         for order in (0, -2, 201):
             with pytest.raises(ValueError):
                 ce_coefficients(order)
-
-    def test_coefficient_accessor(self, series30):
-        assert series30.coefficient(5) == -248
-        with pytest.raises(ValueError):
-            series30.coefficient(0)
-        with pytest.raises(ValueError):
-            series30.coefficient(31)
-
-    def test_json_coefficients_are_exact_strings(self, series30):
-        strings = series30.json_coefficients()
-        assert all(isinstance(s, str) for s in strings)
-        assert [int(s) for s in strings] == list(series30.coefficients)
-        # The large entries are far beyond exact float range.
-        assert abs(int(strings[-1])) > 2**53
-        assert json.loads(json.dumps(strings)) == strings
 
 
 class TestDivergenceDiagnostics:

@@ -7,7 +7,6 @@ import pytest
 
 from slowmode import (
     build_operator,
-    evolve_closure,
     fit_decay_rate,
     gauss_hermite_grid,
     gaussian_moment_series,
@@ -320,23 +319,13 @@ class TestSimulateDecay:
         rate = operator_spectrum(op).hydrodynamic.real
         late = times >= 20.0
 
-        unit = evolve_closure(1.0, rate, times)
+        unit = np.exp(rate * times)
         unit_deviation = np.abs(density[late] - unit[late]) / np.abs(unit[late])
         assert float(unit_deviation.max()) <= 0.25
 
         anchor = int(np.searchsorted(times, 20.0))
         amplitude = density[anchor] * np.exp(-rate * times[anchor])
-        fitted = evolve_closure(amplitude, rate, times)
+        fitted = amplitude * np.exp(rate * times)
         deviation = np.abs(density[late] - fitted[late]) / np.abs(fitted[late])
         assert float(deviation.max()) <= 1e-5
 
-
-class TestEvolveClosure:
-    def test_values(self):
-        times = np.array([0.0, 1.0, 2.0])
-        trace = evolve_closure(2.0, -0.5, times)
-        assert trace == pytest.approx(2.0 * np.exp(-0.5 * times))
-
-    def test_rejects_non_finite_rate(self):
-        with pytest.raises(ValueError):
-            evolve_closure(1.0, math.nan, [0.0, 1.0])
