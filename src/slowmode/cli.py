@@ -172,10 +172,12 @@ def _wave_grid(kmin: float, kmax: float | None, points: int, tau: float) -> list
         raise ValueError(f"--points must be <= {MAX_POINTS}, got {points!r}")
     if not (math.isfinite(kmin) and kmin >= 0.0):
         raise ValueError(f"--kmin must be >= 0, got {kmin!r}")
+    named = "--kmax"
     if kmax is None:
+        named = "the critical wave number (default --kmax)"
         kmax = critical_wave_number(tau)
     if not (math.isfinite(kmax) and kmax > kmin):
-        raise ValueError(f"--kmax must exceed --kmin, got {kmax!r}")
+        raise ValueError(f"{named} must exceed --kmin, got {kmax!r}")
     span = kmax - kmin
     return [kmin + span * i / points for i in range(points)]
 

@@ -18,6 +18,11 @@ Re = -1/tau and the relation has no root.
 
 The branch obeys the scaling law  tau lambda_d(k, tau) = F(tau k)  for a
 single universal function F, exposed here as :func:`scaled_eigenvalue`.
+
+Each entry point decides the domain (origin, subnormal, supercritical x)
+through one private core, which takes y from the Newton--chord loop of
+:func:`slowmode.special.solve_phi` inside the closed-form bracket
+1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x).
 """
 
 import math
@@ -62,8 +67,9 @@ class BranchPoint:
     #: defect of the returned eigenvalue (0.0 by convention at k = 0).
     residual: float
     near_critical: bool
-    #: Width of the final certified bisection bracket (solver detail).
+    #: Width of the final certified Newton--chord bracket (solver detail).
     bracket_width: float
+    #: Passes of the Newton--chord loop (solver detail).
     iterations: int
 
 
@@ -99,14 +105,24 @@ def _validate_k(k: float) -> float:
     return k
 
 
-def _check_normal(x: float) -> None:
-    """Refuse a subnormal scaled wave number x = tau*k: the profile
-    solve's initial bracket 2/x overflows there."""
-    if 0.0 < x < sys.float_info.min:
+def _solve(x: float, tau: float = 1.0) -> tuple[float, float | None, float, int] | None:
+    """The branch at x = tau k >= 0, the one place its domain is decided.
+
+    ``(eigenvalue, y, bracket_width, iterations)``, y = None at the origin;
+    None when supercritical; ValueError for a subnormal x, where the
+    bracket 1/x - x of :func:`solve_phi` overflows.
+    """
+    if x == 0.0:  # k = 0, or tau*k underflowed: F(x) = -x^2 + ... rounds to 0
+        return 0.0, None, 0.0, 0
+    if x < sys.float_info.min:
         raise ValueError(
             f"scaled wave number tau*k = {x!r} is subnormal (below "
             f"{sys.float_info.min!r}); increase k or tau"
         )
+    if x >= CRITICAL_COUPLING:
+        return None
+    y, width, iterations = solve_phi(x)
+    return (x * y - 1.0) / tau, y, width, iterations
 
 
 def critical_wave_number(tau: float) -> float:
@@ -125,16 +141,13 @@ def scaled_eigenvalue(x: float) -> float:
     x = float(x)
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"scaled wave number must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    _check_normal(x)
-    if x >= CRITICAL_COUPLING:
+    solved = _solve(x)
+    if solved is None:
         raise ValueError(
             f"supercritical scaled wave number {x!r}: no isolated slow mode "
             f"for tau*k >= sqrt(pi/2) = {CRITICAL_COUPLING!r}"
         )
-    y, _, _ = solve_phi(x)
-    return x * y - 1.0
+    return solved[0]
 
 
 def solve_diffusion_mode(k: float, tau: float = 1.0) -> float | None:
@@ -145,12 +158,8 @@ def solve_diffusion_mode(k: float, tau: float = 1.0) -> float | None:
     """
     k = _validate_k(k)
     tau = _validate_tau(tau)
-    if k == 0.0:
-        return 0.0
-    x = tau * k
-    if x >= CRITICAL_COUPLING:
-        return None
-    return scaled_eigenvalue(x) / tau
+    solved = _solve(tau * k, tau)
+    return None if solved is None else solved[0]
 
 
 def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
@@ -158,22 +167,11 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
     k = _validate_k(k)
     tau = _validate_tau(tau)
     x = tau * k
-    if x == 0.0:  # k = 0, or tau*k underflowed: F(x) = -x^2 + ... rounds to 0
-        return BranchPoint(
-            k=k,
-            tau=tau,
-            eigenvalue=0.0,
-            residual=0.0,
-            near_critical=False,
-            bracket_width=0.0,
-            iterations=0,
-        )
-    _check_normal(x)
-    if x >= CRITICAL_COUPLING:
+    solved = _solve(x, tau)
+    if solved is None:
         return None
-    y, width, iterations = solve_phi(x)
-    eigenvalue = (x * y - 1.0) / tau
-    residual = abs(plasma_z(complex(0.0, y)) - complex(0.0, x))
+    eigenvalue, y, width, iterations = solved
+    residual = 0.0 if y is None else abs(plasma_z(complex(0.0, y)) - complex(0.0, x))
     if residual > _RESIDUAL_LIMIT:
         raise SelfCheckError(
             f"dispersion solve at k={k!r}, tau={tau!r} left residual "

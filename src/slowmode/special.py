@@ -9,14 +9,16 @@ Public scalar functions, all double precision:
   axis, where Z(iy) = i phi(y) for y >= 0 and its continuation
   i [2 sqrt(pi/2) exp(y^2/2) - phi(-y)] for y < 0.
 
-Numerical contract: relative accuracy ~1e-14 for erfcx and phi;
+Numerical contract: relative accuracy ~1e-15 for erfcx and phi;
 ``plasma_z`` arguments whose exact value overflows double precision
 (y below about -37.6) raise :class:`OverflowError`.
 
 Each public function validates its argument and then calls an unchecked
 private kernel defined beside it (``_erfcx``, ``_phi``).
-:func:`solve_phi`, the bisection solver for phi(y) = c, is unchecked
-too; :mod:`slowmode.dispersion` validates c before calling it.
+:func:`solve_phi` is unchecked too; :mod:`slowmode.dispersion` validates
+c before calling it.  It runs one Newton--chord loop for phi(y) = c from
+the closed-form bracket that the Mills-ratio bounds on phi give, with
+the Newton slope from the profile ODE phi'(y) = y phi(y) - 1.
 """
 
 import math
@@ -39,7 +41,12 @@ def _erfcx(y: float) -> float:
     large-argument asymptotic series beyond that.
     """
     if y <= 25.0:
-        return math.exp(y * y) * math.erfc(y)
+        # y^2 = hi + lo exactly (Dekker split), so y*y's rounding stays out.
+        t = 134217729.0 * y  # 2^27 + 1
+        yh = t - (t - y)
+        hi = y * y
+        lo = (yh * yh - hi) + (y - yh) * (y + yh)
+        return math.exp(hi) * math.erfc(y) * (1.0 + lo)
     # erfcx(y) ~ (1/(y sqrt(pi))) * sum_n (-1)^n (2n-1)!! / (2 y^2)^n
     inv2y2 = 1.0 / (2.0 * y * y)
     term = 1.0
@@ -96,43 +103,41 @@ def phi(y: float) -> float:
 def solve_phi(c: float) -> tuple[float, float, int]:
     """Solve phi(y) = c for the unique root y > 0, 0 < c < sqrt(pi/2).
 
-    Brackets the root, bisects until the bracket width reaches 1e-14 (or
-    the midpoint is no longer distinct from the endpoints, whichever
-    comes first), then polishes with a few Newton steps using
-    phi'(y) = y phi(y) - 1, clamped to the certified bracket.
+    The Mills-ratio bounds 2/(y + sqrt(y^2 + 4)) < phi(y) < 4/(3y +
+    sqrt(y^2 + 8)) (Birnbaum 1942, Sampford 1953) bracket the root by
+    a = max(0, 1/c - c) < y < b = (3 - sqrt(1 + 4c^2))/(2c), b - a ~ c^3.
+    phi is convex, so a Newton step from a (slope a phi(a) - 1, by the
+    profile ODE) and the chord through (a, b) both move towards the
+    root.  Each pass takes both, at least 2.2e-16 max(b, 1) inside the
+    bracket; the sign of phi - c picks the end each point replaces, so
+    the bracket stays certified.  The loop stops at b - a <= 4.4e-16
+    max(b, 1) or when a pass moves no end; y is a final Newton step from
+    a, clamped to [a, b].
 
-    Returns ``(y, bracket_width, bisection_iterations)``.
+    Returns ``(y, bracket_width, loop_passes)``.
     """
-    a = 0.0
-    b = max(2.0 / c, 1.0)
-    while _phi(b) > c:
-        b *= 2.0
-    it = 0
-    while it < 200:
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
+    a = max(0.0, 1.0 / c - c)
+    b = max(a, (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c))
+    pa, pb = _phi(a), _phi(b)
+    passes = 0
+    while b - a > 4.4e-16 * max(b, 1.0) and pa != pb:
+        passes += 1
+        width = b - a
+        step = 2.2e-16 * max(b, 1.0)
+        # Newton from a, then the chord through (a, b).
+        for z in (a + (pa - c) / (1.0 - a * pa), b - (pb - c) * width / (pb - pa)):
+            z = min(max(z, a + step), b - step)
+            if a < z < b:
+                pz = _phi(z)
+                if pz > c:
+                    a, pa = z, pz
+                else:
+                    b, pb = z, pz
+        if b - a == width:
             break
-        if _phi(m) > c:
-            a = m
-        else:
-            b = m
-        it += 1
-        if b - a <= 1e-14:
-            break
-    y = 0.5 * (a + b)
-    for _ in range(4):
-        p = _phi(y)
-        f = p - c
-        d = y * p - 1.0
-        if d == 0.0:
-            break
-        step = f / d
-        y -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(y)):
-            break
-    if not (a <= y <= b):
-        y = 0.5 * (a + b)
-    return y, b - a, it
+    slope = 1.0 - a * pa
+    y = a + (pa - c) / slope if slope > 0.0 else a
+    return min(max(y, a), b), b - a, passes
 
 
 def plasma_z(zeta: complex) -> complex:

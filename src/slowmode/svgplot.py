@@ -41,12 +41,18 @@ class _Frame:
         return self.height - self.margin - u * (self.height - 2 * self.margin)
 
 
-def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
+def _figure_head(frame: _Frame, x_label: str, y_label: str, marker_x: float) -> list[str]:
+    """Document head, background, axes, their labels and a dashed
+    vertical marker line at x = marker_x."""
     left = _fmt(frame.margin)
     right = _fmt(frame.width - frame.margin)
     top = _fmt(frame.margin)
     bottom = _fmt(frame.height - frame.margin)
-    parts = [
+    marker = _fmt(frame.px(marker_x))
+    return [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{frame.width}"'
+        f' height="{frame.height}" viewBox="0 0 {frame.width} {frame.height}">',
         f'<rect x="0" y="0" width="{frame.width}" height="{frame.height}" fill="#ffffff"/>',
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000000" stroke-width="1"/>',
         f'<line x1="{left}" y1="{bottom}" x2="{left}" y2="{top}" stroke="#000000" stroke-width="1"/>',
@@ -56,8 +62,9 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
         f'<text x="{_fmt(frame.margin - 5)}" y="{_fmt(frame.margin + 4)}" font-size="12" text-anchor="end">{_fmt(frame.y1)}</text>',
         f'<text x="{_fmt(frame.width / 2)}" y="{_fmt(frame.height - 10)}" font-size="13" text-anchor="middle">{x_label}</text>',
         f'<text x="15" y="{_fmt(frame.height / 2)}" font-size="13" text-anchor="middle" transform="rotate(-90 15 {_fmt(frame.height / 2)})">{y_label}</text>',
+        f'<line x1="{marker}" y1="{top}" x2="{marker}" y2="{bottom}" stroke="#888888"'
+        ' stroke-width="1" stroke-dasharray="2,3"/>',
     ]
-    return parts
 
 
 def _curve_path(frame: _Frame, xs, ys, stroke: str, dasharray: str | None) -> str:
@@ -100,18 +107,7 @@ def comparison_svg(
         y0=y_window[0],
         y1=y_window[1],
     )
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>']
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{frame.width}"'
-        f' height="{frame.height}" viewBox="0 0 {frame.width} {frame.height}">'
-    )
-    parts.extend(_axes(frame, "scaled wave number x", "scaled decay rate"))
-    cx = _fmt(frame.px(critical_x))
-    parts.append(
-        f'<line x1="{cx}" y1="{_fmt(frame.margin)}" x2="{cx}"'
-        f' y2="{_fmt(frame.height - frame.margin)}" stroke="#888888"'
-        ' stroke-width="1" stroke-dasharray="2,3"/>'
-    )
+    parts = _figure_head(frame, "scaled wave number x", "scaled decay rate", critical_x)
     parts.append(_curve_path(frame, xs, exact, "#000000", None))
     legend_y = frame.margin + 16
     parts.append(
@@ -155,18 +151,7 @@ def spectrum_svg(
         y0=min(ims) - pad_y,
         y1=max(ims) + pad_y,
     )
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>']
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{frame.width}"'
-        f' height="{frame.height}" viewBox="0 0 {frame.width} {frame.height}">'
-    )
-    parts.extend(_axes(frame, "Re", "Im"))
-    ex = _fmt(frame.px(essential_rate))
-    parts.append(
-        f'<line x1="{ex}" y1="{_fmt(frame.margin)}" x2="{ex}"'
-        f' y2="{_fmt(frame.height - frame.margin)}" stroke="#888888"'
-        ' stroke-width="1" stroke-dasharray="2,3"/>'
-    )
+    parts = _figure_head(frame, "Re", "Im", essential_rate)
     for e in eigs:
         if hydrodynamic is not None and e == hydrodynamic:
             continue

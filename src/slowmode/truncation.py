@@ -72,22 +72,22 @@ class TruncationComparison:
     excluded: tuple[float, ...]
 
 
-def _validate_suborder(series: CeSeries, order: int) -> int:
+def _float_coefficients(series: CeSeries, order: int) -> tuple[float, ...]:
+    """c_1..c_order as floats, converted once per order after checking it."""
     order = int(order)
     if not 1 <= order <= series.order:
         raise ValueError(
             f"truncation order must be in 1..{series.order} "
             f"(the series length), got {order!r}"
         )
-    # The magnitudes increase with n, so the top coefficient decides.
     try:
-        float(series.coefficients[order - 1])
+        return tuple(float(c) for c in series.coefficients[:order])
     except OverflowError:
+        # The magnitudes increase with n, so c_order is the one too large.
         raise ValueError(
             f"truncation order {order} is out of range: c_{order} exceeds "
             f"the double range (|c| <= {sys.float_info.max:.4g})"
         ) from None
-    return order
 
 
 def eval_truncation(series: CeSeries, order: int, x: float) -> float:
@@ -95,23 +95,27 @@ def eval_truncation(series: CeSeries, order: int, x: float) -> float:
 
     Raises ValueError when the value leaves the double range.
     """
-    order = _validate_suborder(series, order)
+    return _eval_truncation(_float_coefficients(series, order), x)
+
+
+def _eval_truncation(coefficients: tuple[float, ...], x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"evaluation point must be finite, got {x!r}")
     t = x * x
-    value = _poly_u(series, order, t) * t + 0.0  # + 0.0 normalizes -0.0
+    value = _poly_u(coefficients, t) * t + 0.0  # + 0.0 normalizes -0.0
     if not math.isfinite(value):
         raise ValueError(
-            f"truncation order {order} overflows the double range at x = {x!r}"
+            f"truncation order {len(coefficients)} overflows the double "
+            f"range at x = {x!r}"
         )
     return value
 
 
-def _poly_u(series: CeSeries, order: int, t: float) -> float:
+def _poly_u(coefficients: tuple[float, ...], t: float) -> float:
     """U(t) = sum_{n<=order} c_n t^(n-1), so T(x) = x^2 U(x^2)."""
     acc = 0.0
-    for c in reversed(series.coefficients[:order]):
+    for c in reversed(coefficients):
         acc = acc * t + c
     return acc
 
@@ -124,15 +128,16 @@ def classify_stability(series: CeSeries, order: int) -> TruncationReport:
     floating-point resolution.  An exact zero hit on the grid is itself
     a sign change (negativity fails there).
     """
-    order = _validate_suborder(series, order)
+    coefficients = _float_coefficients(series, order)
+    order = len(coefficients)
     prev_t = 0.0
-    prev_u = float(series.coefficients[0])  # U(0+) = c_1 = -1 < 0
+    prev_u = coefficients[0]  # U(0+) = c_1 = -1 < 0
     root_t = None
     for i in range(1, _SCAN_STEPS + 1):
         # Form the node as 16 i / 10^4 so that representable rationals
         # (such as t = 1) are hit exactly rather than approached.
         t = _SCAN_UPPER * i / _SCAN_STEPS
-        u = _poly_u(series, order, t)
+        u = _poly_u(coefficients, t)
         if u == 0.0:
             root_t = t
             break
@@ -144,7 +149,7 @@ def classify_stability(series: CeSeries, order: int) -> TruncationReport:
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     break
-                u_mid = _poly_u(series, order, mid)
+                u_mid = _poly_u(coefficients, mid)
                 if u_mid == 0.0:
                     lo = hi = mid
                     break
@@ -156,7 +161,7 @@ def classify_stability(series: CeSeries, order: int) -> TruncationReport:
             break
         prev_t, prev_u = t, u
     if root_t is None:
-        if series.coefficients[order - 1] > 0:
+        if coefficients[-1] > 0:
             raise SelfCheckError(
                 f"truncation order {order} has positive leading "
                 "coefficient but the root scan found no sign change"
@@ -189,8 +194,7 @@ def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> Trunca
         from .ceseries import ce_coefficients
 
         series = ce_coefficients(orders[-1])
-    for order in orders:
-        _validate_suborder(series, order)
+    coefficients = {order: _float_coefficients(series, order) for order in orders}
 
     kept: list[float] = []
     excluded: list[float] = []
@@ -202,7 +206,7 @@ def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> Trunca
 
     exact = tuple(scaled_eigenvalue(x) for x in kept)
     truncations = {
-        order: tuple(eval_truncation(series, order, x) for x in kept)
+        order: tuple(_eval_truncation(coefficients[order], x) for x in kept)
         for order in orders
     }
 

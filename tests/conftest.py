@@ -16,6 +16,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -45,6 +46,17 @@ def erfcx_quadrature(y: float) -> float:
             epsrel=1e-14,
         )
     return 2.0 / math.sqrt(math.pi) * value
+
+
+def phi_mp(y):
+    """phi(y) = sqrt(pi/2) exp(y^2/2) erfc(y/sqrt(2)) at the current mpmath precision."""
+    return mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(y * y / 2) * mpmath.erfc(y / mpmath.sqrt(2))
+
+
+def phi_root_mp(c: float, start: float, dps: int = 50):
+    """Root of phi(y) = c to ``dps`` digits, by mpmath's secant search from ``start``."""
+    with mpmath.workdps(dps):
+        return mpmath.findroot(lambda y: phi_mp(y) - c, mpmath.mpf(start))
 
 
 # ---------------------------------------------------------------------------

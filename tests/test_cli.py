@@ -507,6 +507,9 @@ class TestErrorHandling:
             (["simulate", "--points", "1000000000"], "--points"),
             (["compare", "--orders", "140"], "order 140"),
             (["simulate", "--points", "1", "--t-end", "1e-300"], "t_end = 1e-300"),
+            (["branch", "--kmin", "5"], "the critical wave number (default --kmax)"),
+            (["simulate", "--kmin", "5"], "the critical wave number (default --kmax)"),
+            (["branch", "--kmin", "2.0", "--kmax", "1.0"], "--kmax must exceed --kmin"),
         ],
     )
     def test_refusal_names_the_input(self, args, named):

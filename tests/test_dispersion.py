@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import slowmode
-from conftest import erfcx_quadrature
+from conftest import erfcx_quadrature, phi_root_mp
 from slowmode import (
     CRITICAL_COUPLING,
     branch_point,
@@ -134,6 +135,27 @@ class TestSolveDiffusionMode:
             solve_diffusion_mode(math.nan, 1.0)
 
 
+class TestScaledEigenvalueAccuracy:
+    @pytest.mark.parametrize(
+        "xs, bound",
+        [
+            ([0.1 + (CRITICAL_COUPLING - 0.1) * i / 150 for i in range(150)], 2.5e-13),
+            # F = x y - 1 cancels here (y ~ 1/x), which sets the bound.
+            ([1e-3 * 100.0 ** (i / 150) for i in range(150)], 5e-10),
+        ],
+        ids=["uniform-0.1-to-critical", "geometric-1e-3-to-0.1"],
+    )
+    def test_relative_error_against_mpmath(self, xs, bound):
+        worst = 0.0
+        for x in xs:
+            value = scaled_eigenvalue(x)
+            root = phi_root_mp(x, (value + 1.0) / x)
+            with mpmath.workdps(50):
+                exact = x * root - 1
+                worst = max(worst, float(abs((value - exact) / exact)))
+        assert worst <= bound
+
+
 class TestBranchPoint:
     def test_at_zero_wave_number(self):
         point = branch_point(0.0, 2.0)
@@ -150,7 +172,7 @@ class TestBranchPoint:
         assert point.k == 5e-324
         assert (point.eigenvalue, point.residual, point.iterations) == (0.0, 0.0, 0)
         # Subnormal tau*k: refused by name instead of overflowing the
-        # solver's bracket 2/(tau*k).
+        # solver's bracket 1/(tau*k) - tau*k.
         for call in (
             lambda: branch_point(1e-310, 1.0),
             lambda: scaled_eigenvalue(1e-310),

@@ -6,8 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import erfcx_quadrature
-from slowmode import erfcx, phi, plasma_z
+from conftest import erfcx_quadrature, phi_mp, phi_root_mp
+from slowmode import erfcx, phi, plasma_z, special
+from slowmode.special import solve_phi
 
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
@@ -16,12 +17,7 @@ def plasma_z_axis_mp(y: float) -> float:
     """Multiprecision reference Im Z(iy) = sqrt(pi/2) e^(y^2/2) erfc(y/sqrt(2)),
     valid on the whole imaginary axis."""
     with mpmath.workdps(40):
-        yy = mpmath.mpf(y)
-        return float(
-            mpmath.sqrt(mpmath.pi / 2)
-            * mpmath.exp(yy * yy / 2)
-            * mpmath.erfc(yy / mpmath.sqrt(2))
-        )
+        return float(phi_mp(mpmath.mpf(y)))
 
 
 class TestErfcx:
@@ -147,3 +143,58 @@ class TestPhi:
             phi(-1.0)
         with pytest.raises(ValueError):
             phi(math.inf)
+
+
+#: c on [1e-4, sqrt(pi/2)): geometric in c, plus one point next to the top.
+SOLVE_GRID = [1e-4 * (SQRT_HALF_PI / 1e-4) ** (i / 60) for i in range(60)] + [
+    SQRT_HALF_PI - 1e-9
+]
+
+
+class TestSolvePhi:
+    def test_closed_form_bracket_holds(self):
+        # The Mills-ratio bounds give phi(a) > c > phi(b) with b - a < c^3.
+        with mpmath.workdps(60):
+            for c in SOLVE_GRID:
+                cm = mpmath.mpf(c)
+                a = max(mpmath.mpf(0), 1 / cm - cm)
+                b = (3 - mpmath.sqrt(1 + 4 * cm * cm)) / (2 * cm)
+                assert phi_mp(a) > cm > phi_mp(b), c
+                assert a == 0 or b - a < cm**3, c
+
+    def test_root_inside_reported_bracket(self):
+        # The bracket is certified for the computed phi, whose own ~1e-15
+        # relative error moves the root by 1e-15 c / |phi'(y)|; beyond
+        # that, the 50-digit root may miss the bracket by 2 ulps.
+        for c in SOLVE_GRID:
+            y, width, _ = solve_phi(c)
+            root = phi_root_mp(c, y)
+            with mpmath.workdps(50):
+                slope = abs(root * phi_mp(root) - 1)
+                slack = 2 * math.ulp(y) + 1e-15 * c / slope
+                assert abs(root - y) <= width + slack, c
+
+    def test_phi_calls_per_solve(self, monkeypatch):
+        calls = 0
+        kernel = special._phi
+
+        def counting(y):
+            nonlocal calls
+            calls += 1
+            return kernel(y)
+
+        monkeypatch.setattr(special, "_phi", counting)
+        xs = [SQRT_HALF_PI * i / 2000 for i in range(1, 2000)]
+        for x in xs:
+            solve_phi(x)
+        # Bracket, then about five passes of two evaluations each.
+        assert calls / len(xs) <= 12
+
+    def test_bracket_below_resolution_for_tiny_c(self):
+        # b - a ~ c^3 is far below one ulp of y ~ 1/c: no loop pass runs,
+        # and the chord's equal end values never divide by zero.
+        for c in (1e-5, 1e-300, 2.2250738585072014e-308):
+            y, _, passes = solve_phi(c)
+            assert passes == 0
+            assert y == pytest.approx(1.0 / c, rel=1e-9)
+
