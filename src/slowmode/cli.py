@@ -32,6 +32,8 @@ from . import __version__
 from .ceseries import a000699, ce_coefficients, divergence_diagnostics
 from .dispersion import (
     CRITICAL_COUPLING,
+    _validate_k,
+    _validate_velocities,
     critical_wave_number,
     sample_branch,
     solve_diffusion_mode,
@@ -333,9 +335,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _bind_kinetic()
     tau = _positive_tau(args)
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
+    _validate_velocities(args.velocities)
+    _bind_kinetic()
     velocity_grid = gauss_hermite_grid(args.velocities)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
     header = [
@@ -376,9 +379,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _bind_kinetic()
     tau = _positive_tau(args)
     k = float(args.k)
+    _validate_velocities(args.velocities)
+    _validate_k(k)
+    _bind_kinetic()
     velocity_grid = gauss_hermite_grid(args.velocities)
     op = build_operator(k, tau, velocity_grid)
     spectrum = operator_spectrum(op, gap_threshold=args.gap_threshold)

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from .ceseries import CeSeries
-from .dispersion import CRITICAL_COUPLING, scaled_eigenvalue
+from .dispersion import CRITICAL_COUPLING, _solve
 from .errors import SelfCheckError
 
 __all__ = [
@@ -184,8 +184,8 @@ def classify_stability(series: CeSeries, order: int) -> TruncationReport:
 def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> TruncationComparison:
     """Tabulate truncations against the exact scaled branch.
 
-    Supercritical grid points (x >= sqrt(pi/2)) are excluded: the exact
-    branch does not exist there.
+    Grid points where the exact branch does not exist (supercritical,
+    x >= sqrt(pi/2)) are excluded; the branch core decides which.
     """
     orders = tuple(sorted(set(int(n) for n in orders)))
     if not orders:
@@ -197,14 +197,19 @@ def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> Trunca
     coefficients = {order: _float_coefficients(series, order) for order in orders}
 
     kept: list[float] = []
+    exact: list[float] = []
     excluded: list[float] = []
     for x in x_values:
         x = float(x)
         if not (math.isfinite(x) and x >= 0.0):
             raise ValueError(f"scaled wave number must be >= 0, got {x!r}")
-        (excluded if x >= CRITICAL_COUPLING else kept).append(x)
+        solved = _solve(x)
+        if solved is None:
+            excluded.append(x)
+        else:
+            kept.append(x)
+            exact.append(solved[0])
 
-    exact = tuple(scaled_eigenvalue(x) for x in kept)
     truncations = {
         order: tuple(_eval_truncation(coefficients[order], x) for x in kept)
         for order in orders
@@ -222,7 +227,7 @@ def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> Trunca
     return TruncationComparison(
         x=tuple(kept),
         orders=orders,
-        exact=exact,
+        exact=tuple(exact),
         truncations=truncations,
         sup_error_origin={n: window_sup(n, 0.0, 0.5) for n in orders},
         sup_error_critical={

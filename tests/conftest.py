@@ -5,7 +5,9 @@ reference integrates the defining integral with adaptive quadrature,
 the expansion coefficients are recomputed by series reversion of the
 moment series instead of the profile ODE, and
 the RK4 density trace is recomputed stage by stage instead of through
-the precomputed step matrix, so agreement is evidence, not circularity.
+the precomputed step matrix, and step by step in extended precision
+instead of through the split step index, so agreement is evidence, not
+circularity.
 """
 
 import functools
@@ -184,6 +186,37 @@ def stagewise_rk4(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.nd
         norm = new_norm
         density[n] = s @ g
     return density
+
+
+def sequential_rk4_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:
+    """Reference density trace s^T P^n s, n = 0..steps: the same Horner
+    step matrix P as ``simulate_density``, applied once per step in
+    ``np.clongdouble``, so its rounding sits far below double's."""
+    a = op.matrix.astype(np.clongdouble)
+    eye = np.eye(op.grid.q, dtype=np.clongdouble)
+    h = np.longdouble(dt)
+    p = eye + (h / 4) * a
+    for j in (3, 2, 1):
+        p = eye + ((h / j) * a) @ p
+    s = np.sqrt(op.grid.weights.astype(np.longdouble)).astype(np.clongdouble)
+    g = s.copy()
+    density = np.empty(steps + 1, dtype=np.clongdouble)
+    density[0] = s @ g
+    for n in range(1, steps + 1):
+        g = p @ g
+        density[n] = s @ g
+    return density
+
+
+def dense_expm(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
+    """Reference density trace s^T exp(A t) s at every time, from the full
+    table exp(lam t) over eigenvalues x times (the evaluation
+    ``simulate_density(method="expm")`` replaced by a split table)."""
+    s = np.sqrt(op.grid.weights).astype(complex)
+    lam, vectors = np.linalg.eig(op.matrix)
+    amplitudes = np.linalg.solve(vectors, s)
+    weights = vectors.T @ s
+    return (weights * amplitudes) @ np.exp(np.outer(lam, times))
 
 
 @pytest.fixture(scope="session")

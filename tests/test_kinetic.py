@@ -17,7 +17,7 @@ from slowmode import (
 )
 from slowmode.kinetic import _default_dt
 
-from conftest import stagewise_rk4
+from conftest import dense_expm, sequential_rk4_longdouble, stagewise_rk4
 
 
 class TestGaussHermiteGrid:
@@ -224,6 +224,39 @@ class TestSimulateDensity:
         times, density = simulate_density(op)
         oracle = stagewise_rk4(op, _default_dt(op), times.size - 1)
         assert np.max(np.abs(density - oracle)) <= 1e-12
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18,
+        reason="long double is no wider than double on this platform",
+    )
+    @pytest.mark.parametrize("tau_k", [0.1, 0.5])
+    def test_rk4_matches_extended_precision(self, tau_k):
+        # The split trace squares P - I rather than P, so its rounding
+        # stays at the level of the step-by-step loop (~1e-15 over 4000
+        # steps); repeated squaring of P itself drifts to ~1e-13.
+        op = build_operator(tau_k, 1.0, gauss_hermite_grid(16))
+        times, density = simulate_density(op)
+        assert times.size == 4001
+        reference = sequential_rk4_longdouble(op, _default_dt(op), times.size - 1)
+        assert float(np.max(np.abs(density - reference))) <= 1e-14
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 63, 64, 65, 4001])
+    def test_rk4_step_counts_off_the_square(self, steps):
+        # n = a + m b with m^2 >= steps + 1: the last tail row is cut
+        # short unless m divides steps + 1.
+        dt = 2.0**-7
+        op = build_operator(0.5, 1.0, gauss_hermite_grid(16))
+        times, density = simulate_density(op, t_end=steps * dt, dt=dt)
+        assert times.size == steps + 1
+        oracle = stagewise_rk4(op, dt, steps)
+        assert np.max(np.abs(density - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("q", [16, 65, 256])
+    @pytest.mark.parametrize("tau_k", [0.0, 0.1, 0.5, 2.0])
+    def test_expm_matches_dense_table(self, q, tau_k):
+        op = build_operator(tau_k, 1.0, gauss_hermite_grid(q))
+        times, density = simulate_density(op, method="expm")
+        assert np.max(np.abs(density - dense_expm(op, times))) <= 1e-14
 
     @pytest.mark.parametrize("q", [2, 8, 64])
     @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e3])

@@ -1,7 +1,8 @@
 """numpy is loaded only by the kinetic layer.
 
-Only :mod:`slowmode.kinetic` needs numpy, so ``import slowmode`` and the
-``branch``, ``ce`` and ``compare`` commands must run without it, while
+Only :mod:`slowmode.kinetic` needs numpy, so ``import slowmode``, the
+``branch``, ``ce`` and ``compare`` commands, and the kinetic commands'
+refusals of a bad tau, grid, velocity count or k must run without it, while
 the kinetic names stay reachable from the package and from
 ``slowmode.cli``.  Each check runs in a fresh interpreter: another test
 in this process may already have imported numpy.
@@ -25,6 +26,25 @@ CHECKS = {
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
+        assert "numpy" not in sys.modules
+    """,
+    "kinetic_refusals_skip_numpy": """
+        import contextlib, io, sys
+        from slowmode.cli import main
+
+        for argv, message in (
+            (["simulate", "--tau", "nan"], "--tau must be positive, got nan"),
+            (["simulate", "--velocities", "1"], "velocity grid size must be in 2..256, got 1"),
+            (["spectrum", "--k", "nan"], "wave number k must be >= 0, got nan"),
+            (
+                ["spectrum", "--k", "0.5", "--velocities", "300"],
+                "velocity grid size must be in 2..256, got 300",
+            ),
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(argv) == 2, argv
+            assert err.getvalue() == f"slowmode: error: {message}\\n", err.getvalue()
         assert "numpy" not in sys.modules
     """,
     "package_names": """
