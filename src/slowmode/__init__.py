@@ -19,14 +19,11 @@ df/dt + v df/dx = (rho M - f)/tau around a global Gaussian equilibrium:
   comparison views.
 * :mod:`slowmode.cli` -- the ``slowmode`` command-line tool.
 
-Only :mod:`slowmode.kinetic` needs numpy.  Its public names resolve
-here through a module ``__getattr__`` (PEP 562), so ``import slowmode``
-and the ``branch``, ``ce`` and ``compare`` commands never load numpy;
-the first use of a kinetic name, or the ``simulate`` and ``spectrum``
-commands, does.
+Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
+its functions.  So ``import slowmode`` and the ``branch``, ``ce`` and
+``compare`` commands never load numpy; the first call of a kinetic
+function that builds an array does.
 """
-
-import importlib
 
 from .ceseries import (
     CeSeries,
@@ -47,6 +44,18 @@ from .dispersion import (
     solve_diffusion_mode,
 )
 from .errors import SelfCheckError
+from .kinetic import (
+    DecayResult,
+    DiscreteOperator,
+    SpectrumResult,
+    VelocityGrid,
+    build_operator,
+    fit_decay_rate,
+    gauss_hermite_grid,
+    operator_spectrum,
+    simulate_decay,
+    simulate_density,
+)
 from .special import erfcx, phi, plasma_z
 from .svgplot import comparison_svg, spectrum_svg
 from .truncation import (
@@ -58,22 +67,6 @@ from .truncation import (
 )
 
 __version__ = "0.1.0"
-
-#: Public names of :mod:`slowmode.kinetic`, resolved by ``__getattr__``.
-_KINETIC_NAMES = frozenset(
-    {
-        "DecayResult",
-        "DiscreteOperator",
-        "SpectrumResult",
-        "VelocityGrid",
-        "build_operator",
-        "fit_decay_rate",
-        "gauss_hermite_grid",
-        "operator_spectrum",
-        "simulate_decay",
-        "simulate_density",
-    }
-)
 
 __all__ = [
     "BranchPoint",
@@ -113,16 +106,3 @@ __all__ = [
     "solve_diffusion_mode",
     "spectrum_svg",
 ]
-
-
-def __getattr__(name: str):
-    """Import :mod:`slowmode.kinetic` on first access to one of its names
-    or to the submodule itself, which ``import slowmode`` used to bind."""
-    if name != "kinetic" and name not in _KINETIC_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    kinetic = importlib.import_module(".kinetic", __name__)
-    return kinetic if name == "kinetic" else getattr(kinetic, name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _KINETIC_NAMES)

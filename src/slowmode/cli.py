@@ -33,12 +33,18 @@ from .ceseries import a000699, ce_coefficients, divergence_diagnostics
 from .dispersion import (
     CRITICAL_COUPLING,
     _validate_k,
-    _validate_velocities,
     critical_wave_number,
     sample_branch,
     solve_diffusion_mode,
 )
 from .errors import SelfCheckError
+from .kinetic import (
+    _validate_velocities,
+    build_operator,
+    gauss_hermite_grid,
+    operator_spectrum,
+    simulate_decay,
+)
 from .svgplot import comparison_svg, spectrum_svg
 from .truncation import classify_stability, compare_to_exact
 
@@ -46,36 +52,6 @@ log = logging.getLogger("slowmode")
 
 #: Largest grid a command builds; larger ones are refused before allocation.
 MAX_POINTS = 10**6
-
-#: Names from :mod:`slowmode.kinetic`, the one module that needs numpy.
-#: They are bound on first use, so ``branch``, ``ce`` and ``compare``
-#: never load numpy.
-_KINETIC_NAMES = (
-    "build_operator",
-    "gauss_hermite_grid",
-    "operator_spectrum",
-    "simulate_decay",
-)
-
-
-def _bind_kinetic() -> None:
-    """Import the kinetic names into this module's namespace.
-
-    ``setdefault`` keeps a name that is already bound, such as a wrapper
-    installed from outside through ``slowmode.cli.<name>``.
-    """
-    from . import kinetic
-
-    namespace = globals()
-    for name in _KINETIC_NAMES:
-        namespace.setdefault(name, getattr(kinetic, name))
-
-
-def __getattr__(name: str):
-    if name in _KINETIC_NAMES:
-        _bind_kinetic()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _configure_logging() -> None:
@@ -337,8 +313,6 @@ def cmd_compare(args) -> int:
 def cmd_simulate(args) -> int:
     tau = _positive_tau(args)
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
-    _validate_velocities(args.velocities)
-    _bind_kinetic()
     velocity_grid = gauss_hermite_grid(args.velocities)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
     header = [
@@ -383,7 +357,6 @@ def cmd_spectrum(args) -> int:
     k = float(args.k)
     _validate_velocities(args.velocities)
     _validate_k(k)
-    _bind_kinetic()
     velocity_grid = gauss_hermite_grid(args.velocities)
     op = build_operator(k, tau, velocity_grid)
     spectrum = operator_spectrum(op, gap_threshold=args.gap_threshold)
@@ -555,7 +528,13 @@ def main(argv=None) -> int:
         print(f"slowmode: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"slowmode: I/O error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # The reader of stdout has gone.  Point stdout at devnull, as
+            # the note on SIGPIPE in the Python signal docs recommends, so
+            # the interpreter's final flush cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError):  # stderr may share the closed pipe
+            print(f"slowmode: I/O error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -55,10 +55,6 @@ NEAR_CRITICAL_WINDOW = 1e-8
 #: Residual bound the solver must meet; exceeding it is a defect.
 _RESIDUAL_LIMIT = 1e-8
 
-#: Velocity grid sizes the kinetic layer accepts.
-_MIN_VELOCITIES = 2
-_MAX_VELOCITIES = 256
-
 
 @dataclass(frozen=True)
 class BranchPoint:
@@ -107,17 +103,6 @@ def _validate_k(k: float) -> float:
     if not (math.isfinite(k) and k >= 0.0):
         raise ValueError(f"wave number k must be >= 0, got {k!r}")
     return k
-
-
-def _validate_velocities(q: int) -> int:
-    """Velocity grid size of the kinetic layer, checked without numpy."""
-    q = int(q)
-    if not _MIN_VELOCITIES <= q <= _MAX_VELOCITIES:
-        raise ValueError(
-            f"velocity grid size must be in {_MIN_VELOCITIES}..{_MAX_VELOCITIES}, "
-            f"got {q!r}"
-        )
-    return q
 
 
 def _solve(x: float, tau: float = 1.0) -> tuple[float, float | None, float, int] | None:

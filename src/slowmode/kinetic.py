@@ -16,14 +16,18 @@ continuum at Re = -1/tau plus, for tau k < sqrt(pi/2), one isolated real
 eigenvalue converging spectrally (in the grid size) to the slow decay
 rate from :mod:`slowmode.dispersion`.  Time integration of the density
 trace therefore measures the decay rate a closure should reproduce.
+
+This is the one layer that needs numpy.  Each function imports it in its
+own body, so importing the module, and every refusal made before the
+first array is built, leaves numpy unloaded.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dispersion import _validate_k, _validate_tau, _validate_velocities
+from .dispersion import _validate_k, _validate_tau
 
 __all__ = [
     "DecayResult",
@@ -42,6 +46,10 @@ __all__ = [
 #: bounds the time and density arrays of the trace.  Default runs need
 #: at most 4000 x 256, about 1e6.
 _MAX_STEP_NODES = 2**24
+
+#: Velocity grid sizes the kinetic layer accepts.
+_MIN_VELOCITIES = 2
+_MAX_VELOCITIES = 256
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,16 @@ class DecayResult:
     method: str
 
 
+def _validate_velocities(q: int) -> int:
+    q = int(q)
+    if not _MIN_VELOCITIES <= q <= _MAX_VELOCITIES:
+        raise ValueError(
+            f"velocity grid size must be in {_MIN_VELOCITIES}..{_MAX_VELOCITIES}, "
+            f"got {q!r}"
+        )
+    return q
+
+
 def gauss_hermite_grid(q: int) -> VelocityGrid:
     """Gauss-Hermite grid with q nodes, exact for unit-Gaussian moments
     of degree < 2q.
@@ -101,12 +119,16 @@ def gauss_hermite_grid(q: int) -> VelocityGrid:
     the weight exp(-v^2/2) / sqrt(2 pi): v = sqrt(2) x, omega = w / sqrt(pi).
     """
     q = _validate_velocities(q)
+    import numpy as np
+
     x, w = np.polynomial.hermite.hermgauss(q)
     return VelocityGrid(nodes=x * math.sqrt(2.0), weights=w / math.sqrt(math.pi))
 
 
 def build_operator(k: float, tau: float, grid: VelocityGrid) -> DiscreteOperator:
     """Assemble A = -i k diag(v) - (1/tau)(I - s s^T) on the given grid."""
+    import numpy as np
+
     k = _validate_k(k)
     tau = _validate_tau(tau)
     if not math.isfinite(k * float(np.max(np.abs(grid.nodes)))):
@@ -134,6 +156,8 @@ def operator_spectrum(
     eps k max|v|, reaches a tenth of that range: the real parts, and so
     every gap, are then noise, whatever threshold is asked for.
     """
+    import numpy as np
+
     resolution = 0.1 / op.tau
     if gap_threshold is None:
         gap_threshold = resolution
@@ -164,6 +188,8 @@ def operator_spectrum(
 
 def _default_dt(op: DiscreteOperator) -> float:
     """Step small enough for the stiffest advection frequency k v_max."""
+    import numpy as np
+
     v_max = float(np.max(np.abs(op.grid.nodes)))
     return min(0.01 * op.tau, 1.0 / (op.k * v_max + 1.0 / op.tau))
 
@@ -195,6 +221,8 @@ def simulate_density(
     with RK4, and the two agree to ~1e-8.  More than 2**24 steps x
     velocity nodes raises ValueError before anything is allocated.
     """
+    import numpy as np
+
     if t_end is None:
         t_end = 40.0 * op.tau
     t_end = float(t_end)
@@ -269,6 +297,8 @@ def fit_decay_rate(times, density, fit_start: float | None = None) -> float:
     Fits on t >= fit_start (default: the second half of the trace),
     where the fast continuum transient has died out.
     """
+    import numpy as np
+
     times = np.asarray(times, dtype=float)
     density = np.asarray(density)
     if times.ndim != 1 or times.size != density.size or times.size < 2:

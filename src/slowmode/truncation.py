@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .ceseries import CeSeries
+from .ceseries import CeSeries, ce_coefficients
 from .dispersion import CRITICAL_COUPLING, _solve
 from .errors import SelfCheckError
 
@@ -191,8 +191,6 @@ def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> Trunca
     if not orders:
         raise ValueError("at least one truncation order is required")
     if series is None:
-        from .ceseries import ce_coefficients
-
         series = ce_coefficients(orders[-1])
     coefficients = {order: _float_coefficients(series, order) for order in orders}
 

@@ -239,17 +239,21 @@ def run_cli(args) -> subprocess.CompletedProcess:
     return run_python(["-m", "slowmode.cli", *args])
 
 
+def source_env() -> dict:
+    """The environment with the checkout's source tree first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+
+
 def run_python(args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with the checkout's source tree on its
     path and capture output."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=300,
-        env=env,
+        env=source_env(),
     )
 
 

@@ -2,13 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from slowmode import a000699, comparison_svg, critical_wave_number, spectrum_svg
 
-from conftest import csv_sections, run_cli
+from conftest import csv_sections, run_cli, source_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -575,6 +577,24 @@ class TestErrorHandling:
         result = run_cli(["ce", "--order", "2", "--out", str(target)])
         assert result.returncode == 3
         assert "I/O error" in result.stderr
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-pipe", "stdout-pipe"])
+    def test_closed_output_pipe_exits_3(self, shared):
+        # The reader takes one line of a ~400 kB table and closes the pipe.
+        # With stderr on the same pipe the message cannot be written.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "slowmode.cli", "branch", "--points", "5000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT if shared else subprocess.PIPE,
+            env=source_env(),
+        )
+        assert proc.stdout.readline().startswith(b"k,tau_k,")
+        proc.stdout.close()
+        stderr = b"" if shared else proc.stderr.read()
+        assert proc.wait(timeout=300) == 3
+        if not shared:
+            proc.stderr.close()
+            assert stderr == b"slowmode: I/O error: [Errno 32] Broken pipe\n"
 
     def test_version(self):
         result = run_cli(["--version"])

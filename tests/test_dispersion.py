@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import slowmode
@@ -90,6 +92,18 @@ class TestScaledEigenvalue:
         partial = sum(c * x ** (2 * n) for n, c in enumerate(coeffs, start=1))
         assert abs(scaled_eigenvalue(x) - partial) <= 1e-8
 
+    @given(
+        st.floats(1e-3, CRITICAL_COUPLING, exclude_max=True),
+        st.floats(1e-3, CRITICAL_COUPLING, exclude_max=True),
+    )
+    def test_bounded_and_decreasing(self, a, b):
+        # The step x1 (1 + 1e-6) stays far above the solver's precision.
+        x1, x2 = sorted((a, b))
+        f1, f2 = scaled_eigenvalue(x1), scaled_eigenvalue(x2)
+        assert -1.0 < f1 < 0.0 and -1.0 < f2 < 0.0
+        if x2 >= x1 * (1.0 + 1e-6):
+            assert f2 < f1
+
 
 class TestSolveDiffusionMode:
     def test_at_zero_wave_number(self):
@@ -126,6 +140,20 @@ class TestSolveDiffusionMode:
             lam = solve_diffusion_mode(x / tau, tau)
             assert tau * lam == pytest.approx(scaled_eigenvalue(x), rel=1e-13)
 
+    @given(
+        st.floats(-100.0, 100.0),
+        st.floats(1e-3, CRITICAL_COUPLING, exclude_max=True),
+    )
+    def test_scaling_law_to_two_ulps(self, exponent, x):
+        tau = 10.0**exponent
+        k = x / tau
+        rate = solve_diffusion_mode(k, tau)
+        if tau * k >= CRITICAL_COUPLING:  # x / tau * tau rounded up to x_c
+            assert rate is None
+        else:
+            scaled = scaled_eigenvalue(tau * k)
+            assert abs(tau * rate - scaled) <= 2 * math.ulp(scaled)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             solve_diffusion_mode(-0.1, 1.0)
@@ -154,6 +182,19 @@ class TestScaledEigenvalueAccuracy:
                 exact = x * root - 1
                 worst = max(worst, float(abs((value - exact) / exact)))
         assert worst <= bound
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: F = x y - 1 cancels for small x, "
+        "and F(5e-9) is exactly 0.0",
+    )
+    @pytest.mark.parametrize("x", [5e-9, 1e-8, 1e-6])
+    def test_small_x_matches_leading_series(self, x):
+        # -x^2 + x^4 is exact here to 4 x^4 relative: the next term is -4 x^6.
+        value = scaled_eigenvalue(x)
+        series = -(x**2) + x**4
+        assert value < 0.0
+        assert abs(value - series) <= 1e-12 * abs(series)
 
 
 class TestBranchPoint:

@@ -1,11 +1,13 @@
-"""numpy is loaded only by the kinetic layer.
+"""numpy is loaded only by the kinetic layer's functions.
 
-Only :mod:`slowmode.kinetic` needs numpy, so ``import slowmode``, the
-``branch``, ``ce`` and ``compare`` commands, and the kinetic commands'
-refusals of a bad tau, grid, velocity count or k must run without it, while
-the kinetic names stay reachable from the package and from
-``slowmode.cli``.  Each check runs in a fresh interpreter: another test
-in this process may already have imported numpy.
+Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
+the functions that build arrays.  So ``import slowmode``, ``import
+slowmode.kinetic``, the ``branch``, ``ce`` and ``compare`` commands, and
+the kinetic commands' refusals of a bad tau, grid, velocity count or k
+must run without it, while the kinetic names stay plain attributes of
+the package and of ``slowmode.cli``.  Each check runs in a fresh
+interpreter: another test in this process may already have imported
+numpy.
 """
 
 import textwrap
@@ -54,9 +56,25 @@ CHECKS = {
         assert getattr(slowmode, "backend", None) is None
         assert set(slowmode.__all__) <= set(dir(slowmode))
         assert "numpy" not in sys.modules
-        # The submodule is looked up first, so both lazy routes run.
+        # Looking a kinetic name up loads nothing; the first call that
+        # builds an array loads numpy.
         assert slowmode.kinetic.build_operator is slowmode.build_operator
+        assert "numpy" not in sys.modules
+        slowmode.gauss_hermite_grid(4)
         assert "numpy" in sys.modules
+    """,
+    "kinetic_import_and_grid_refusal_skip_numpy": """
+        import sys
+        import slowmode.kinetic
+
+        assert "numpy" not in sys.modules
+        try:
+            slowmode.kinetic.gauss_hermite_grid(300)
+        except ValueError as exc:
+            assert str(exc) == "velocity grid size must be in 2..256, got 300", exc
+        else:
+            raise AssertionError("a 300-node grid was accepted")
+        assert "numpy" not in sys.modules
     """,
     "star_import": """
         import slowmode

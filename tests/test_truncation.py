@@ -118,12 +118,14 @@ class TestClassifyStability:
     def test_third_order_is_stable(self, series10):
         assert classify_stability(series10, 3).stable
 
-    def test_parity_rule(self, series10):
+    def test_parity_rule(self):
         # Sign of the leading coefficient decides: odd orders end on a
         # negative coefficient and stay negative, even orders cross.
-        for order in range(1, 11):
-            report = classify_stability(series10, order)
-            assert report.stable == (order % 2 == 1)
+        # Every order whose coefficients are doubles: 1..150.
+        series = ce_coefficients(150)
+        for order in range(1, 151):
+            report = classify_stability(series, order)
+            assert report.stable == (order % 2 == 1), order
 
     def test_unstable_roots_precede_criticality(self, series10):
         for order in (2, 4, 6, 8, 10):
