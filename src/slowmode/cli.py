@@ -39,6 +39,8 @@ from .dispersion import (
 )
 from .errors import SelfCheckError
 from .kinetic import (
+    _validate_dt,
+    _validate_positive,
     _validate_velocities,
     build_operator,
     gauss_hermite_grid,
@@ -313,8 +315,12 @@ def cmd_compare(args) -> int:
 def cmd_simulate(args) -> int:
     tau = _positive_tau(args)
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
-    velocity_grid = gauss_hermite_grid(args.velocities)
+    _validate_velocities(args.velocities)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
+    t_end = _validate_positive(t_end, "t_end")
+    if args.dt is not None:
+        _validate_dt(args.dt, t_end)
+    velocity_grid = gauss_hermite_grid(args.velocities)
     header = [
         "k",
         "tau_k",
@@ -357,6 +363,8 @@ def cmd_spectrum(args) -> int:
     k = float(args.k)
     _validate_velocities(args.velocities)
     _validate_k(k)
+    if args.gap_threshold is not None:
+        _validate_positive(args.gap_threshold, "gap threshold")
     velocity_grid = gauss_hermite_grid(args.velocities)
     op = build_operator(k, tau, velocity_grid)
     spectrum = operator_spectrum(op, gap_threshold=args.gap_threshold)

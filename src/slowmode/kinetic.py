@@ -11,6 +11,18 @@ collision term makes A normal-minus-antihermitian with numerical range
 in Re <= 0, the density moment is rho = s^T g, and the initial state
 g(0) = s corresponds to a pure density perturbation.
 
+The nodes come in pairs +-v_p with equal weights, so A is unitarily
+similar to a real matrix.  In the orthonormal basis of even and odd
+pair vectors, with the odd half scaled by i and W = diag(v_p) over the
+positive nodes,
+
+    B = [[(s' s'^T - I)/tau, k W^T], [-k W, -I/tau]],
+
+where s'_p = sqrt(2 omega_p) on the even half (an odd grid adds
+s'_0 = sqrt(omega_0) for its zero node, which has no odd partner) and
+rho(t) = s'^T exp(t B) s'.  The spectrum and the ``expm`` trace solve
+this real eigenproblem, about twice as fast as the complex one.
+
 The operator's spectrum consists of a cluster of modes approximating the
 continuum at Re = -1/tau plus, for tau k < sqrt(pi/2), one isolated real
 eigenvalue converging spectrally (in the grid size) to the slow decay
@@ -111,6 +123,20 @@ def _validate_velocities(q: int) -> int:
     return q
 
 
+def _validate_positive(value: float, name: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _validate_dt(dt: float, t_end: float) -> float:
+    dt = float(dt)
+    if not (math.isfinite(dt) and 0.0 < dt <= t_end):
+        raise ValueError(f"dt must be in (0, t_end], got {dt!r}")
+    return dt
+
+
 def gauss_hermite_grid(q: int) -> VelocityGrid:
     """Gauss-Hermite grid with q nodes, exact for unit-Gaussian moments
     of degree < 2q.
@@ -142,6 +168,37 @@ def build_operator(k: float, tau: float, grid: VelocityGrid) -> DiscreteOperator
     return DiscreteOperator(k=k, tau=tau, grid=grid, matrix=matrix)
 
 
+def _real_form(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Real matrix B and vector s' similar to the operator and its s.
+
+    s^T exp(t A) s = s'^T exp(t B) s' and B has the eigenvalues of A; see
+    the module docstring.  The even half holds the non-negative nodes
+    in grid order, the odd half the positive ones.  Raises ValueError
+    for a grid whose nodes and weights are not symmetric about 0.
+    """
+    import numpy as np
+
+    nodes, weights = op.grid.nodes, op.grid.weights
+    symmetric = np.array_equal(nodes, -nodes[::-1])
+    if not (symmetric and np.array_equal(weights, weights[::-1])):
+        raise ValueError(
+            "the velocity grid must pair each node v with -v at equal weight"
+        )
+    q = nodes.size
+    n = q - q // 2
+    s = np.zeros(q)
+    s[:n] = np.sqrt(2.0 * weights[q // 2 :])  # rounds once; sqrt(2) sqrt(w) twice
+    if q % 2:
+        s[0] = np.sqrt(weights[q // 2])
+    b = np.zeros((q, q))
+    b[:n, :n] = np.outer(s[:n], s[:n]) / op.tau
+    b[np.diag_indices(q)] -= 1.0 / op.tau
+    even, odd = np.arange(q % 2, n), np.arange(n, q)
+    b[even, odd] = op.k * nodes[n:]
+    b[odd, even] = -b[even, odd]
+    return b, s
+
+
 def operator_spectrum(
     op: DiscreteOperator, gap_threshold: float | None = None
 ) -> SpectrumResult:
@@ -161,18 +218,14 @@ def operator_spectrum(
     resolution = 0.1 / op.tau
     if gap_threshold is None:
         gap_threshold = resolution
-    gap_threshold = float(gap_threshold)
-    if not (math.isfinite(gap_threshold) and gap_threshold > 0.0):
-        raise ValueError(
-            f"gap threshold must be positive, got {gap_threshold!r}"
-        )
+    gap_threshold = _validate_positive(gap_threshold, "gap threshold")
     roundoff = np.finfo(float).eps * op.k * float(np.max(np.abs(op.grid.nodes)))
     if roundoff >= resolution:
         raise ValueError(
             f"wave number k = {op.k!r} is too large: the eigenvalue "
             f"roundoff {roundoff:.3g} reaches 0.1/tau = {resolution:.3g}"
         )
-    eigenvalues = np.linalg.eigvals(op.matrix)
+    eigenvalues = np.linalg.eigvals(_real_form(op)[0]).astype(complex)
     order = np.lexsort((eigenvalues.imag, -eigenvalues.real))
     eigenvalues = eigenvalues[order]
     gap = float(eigenvalues[0].real - eigenvalues[1].real)
@@ -216,18 +269,17 @@ def simulate_density(
     comes from P - I by log2(m) squarings Y <- 2Y + Y^2.  With the
     identity kept out of every product, rounding does not compound as it
     does under plain repeated squaring of P.  ``method="expm"`` evaluates
-    the exponential through the eigendecomposition, as the tables
-    exp(lam t_a) and exp(lam t_(m b)); it shares no time-stepping error
-    with RK4, and the two agree to ~1e-8.  More than 2**24 steps x
-    velocity nodes raises ValueError before anything is allocated.
+    the exponential through the eigendecomposition of the real form B
+    (module docstring), as the tables exp(lam t_a) and exp(lam t_(m b));
+    it shares no time-stepping error with RK4, and the two agree to
+    ~1e-8.  More than 2**24 steps x velocity nodes raises ValueError
+    before anything is allocated.
     """
     import numpy as np
 
     if t_end is None:
         t_end = 40.0 * op.tau
-    t_end = float(t_end)
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    t_end = _validate_positive(t_end, "t_end")
     if dt is None:
         dt = _default_dt(op)
         if dt > t_end:
@@ -235,9 +287,7 @@ def simulate_density(
                 f"t_end = {t_end!r} is shorter than the automatic time step "
                 f"{dt!r}: raise t_end or pass a smaller dt"
             )
-    dt = float(dt)
-    if not (math.isfinite(dt) and 0.0 < dt <= t_end):
-        raise ValueError(f"dt must be in (0, t_end], got {dt!r}")
+    dt = _validate_dt(dt, t_end)
 
     ratio = t_end / dt
     if ratio * op.grid.q > _MAX_STEP_NODES:
@@ -248,23 +298,25 @@ def simulate_density(
         )
     steps = max(1, math.ceil(ratio - 1e-12))
     times = np.linspace(0.0, steps * dt, steps + 1)
-    s = np.sqrt(op.grid.weights).astype(complex)
 
     m = 2
     while m * m < steps + 1:
         m *= 2
 
     if method == "expm":
-        lam, vectors = np.linalg.eig(op.matrix)
+        b, s = _real_form(op)
+        lam, vectors = np.linalg.eig(b)
         amplitudes = np.linalg.solve(vectors, s)
-        weights = vectors.T @ s  # row of s^T V
+        weights = vectors.T @ s  # row of s'^T V
         head = np.exp(np.outer(times[:m], lam)) * (weights * amplitudes)
         tail = np.exp(np.outer(times[::m], lam))
         density = (tail @ head.T).reshape(-1)[: steps + 1]
-        return times, density
+        return times, density.astype(complex, copy=False)
 
     if method != "rk4":
         raise ValueError(f"unknown integration method {method!r}")
+
+    s = np.sqrt(op.grid.weights).astype(complex)
 
     eye = np.eye(op.grid.q)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,8 +6,9 @@ the expansion coefficients are recomputed by series reversion of the
 moment series instead of the profile ODE, and
 the RK4 density trace is recomputed stage by stage instead of through
 the precomputed step matrix, and step by step in extended precision
-instead of through the split step index, so agreement is evidence, not
-circularity.
+instead of through the split step index, and the expm trace from a
+Taylor-series propagator in extended precision instead of an
+eigensolver, so agreement is evidence, not circularity.
 """
 
 import functools
@@ -24,6 +25,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import slowmode
+from slowmode.kinetic import _real_form
 
 
 def erfcx_quadrature(y: float) -> float:
@@ -208,15 +210,56 @@ def sequential_rk4_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: i
     return density
 
 
-def dense_expm(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
-    """Reference density trace s^T exp(A t) s at every time, from the full
-    table exp(lam t) over eigenvalues x times (the evaluation
-    ``simulate_density(method="expm")`` replaced by a split table)."""
-    s = np.sqrt(op.grid.weights).astype(complex)
-    lam, vectors = np.linalg.eig(op.matrix)
+def _eigen_trace(matrix: np.ndarray, s: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """s^T exp(M t) s at every time, from the full table exp(lam t) over
+    eigenvalues x times."""
+    lam, vectors = np.linalg.eig(matrix)
     amplitudes = np.linalg.solve(vectors, s)
     weights = vectors.T @ s
     return (weights * amplitudes) @ np.exp(np.outer(lam, times))
+
+
+def dense_expm(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
+    """Reference density trace s'^T exp(B t) s' on the real form B of the
+    generator, from the full table over eigenvalues x times (the
+    evaluation ``simulate_density(method="expm")`` replaced by a split
+    table)."""
+    return _eigen_trace(*_real_form(op), times)
+
+
+def dense_expm_complex(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
+    """Reference density trace s^T exp(A t) s from the complex generator
+    itself, the route ``simulate_density(method="expm")`` took before it
+    solved the real form; a cross-check of that similarity."""
+    return _eigen_trace(op.matrix, np.sqrt(op.grid.weights).astype(complex), times)
+
+
+def taylor_expm_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:
+    """Reference density trace s^T exp(n dt A) s, n = 0..steps, with no
+    eigensolver: A is assembled from the grid in ``np.clongdouble``, the
+    one-step propagator exp(dt A) is summed from its Taylor series until
+    the terms fall below long double's rounding, and it is applied once
+    per step."""
+    nodes = op.grid.nodes.astype(np.longdouble)
+    s = np.sqrt(op.grid.weights.astype(np.longdouble))
+    tau = np.longdouble(op.tau)
+    a = np.outer(s, s).astype(np.clongdouble) / tau
+    a -= np.diag(1 / tau + 1j * np.longdouble(op.k) * nodes)
+    a *= np.longdouble(dt)
+    propagator = np.eye(op.grid.q, dtype=np.clongdouble)
+    term = propagator.copy()
+    j = 0
+    while np.max(np.abs(term)) > np.finfo(np.longdouble).eps ** 2:
+        j += 1
+        term = (a @ term) / j
+        propagator += term
+    g = s.astype(np.clongdouble)
+    density = np.empty(steps + 1, dtype=np.clongdouble)
+    density[0] = s @ g
+    for n in range(1, steps + 1):
+        g = propagator @ g
+        density[n] = s @ g
+    return density
 
 
 @pytest.fixture(scope="session")

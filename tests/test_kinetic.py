@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from slowmode import (
     build_operator,
@@ -15,9 +16,15 @@ from slowmode import (
     simulate_density,
     solve_diffusion_mode,
 )
-from slowmode.kinetic import _default_dt
+from slowmode.kinetic import VelocityGrid, _default_dt, _real_form
 
-from conftest import dense_expm, sequential_rk4_longdouble, stagewise_rk4
+from conftest import (
+    dense_expm,
+    dense_expm_complex,
+    sequential_rk4_longdouble,
+    stagewise_rk4,
+    taylor_expm_longdouble,
+)
 
 
 class TestGaussHermiteGrid:
@@ -101,10 +108,51 @@ class TestBuildOperator:
             build_operator(1e308, 1.0, grid64)
 
 
+class TestRealForm:
+    @pytest.mark.parametrize("q", [2, 3, 16, 17, 64, 65])
+    @pytest.mark.parametrize("k", [0.0, 0.3, 2.0, 50.0])
+    def test_eigenvalues_match_complex_generator(self, q, k):
+        # B is similar to A: the optimal pairing of the two spectra
+        # moves no eigenvalue by more than roundoff of the larger of
+        # the collision and advection scales.
+        op = build_operator(k, 1.0, gauss_hermite_grid(q))
+        real = np.linalg.eigvals(_real_form(op)[0])
+        complex_ = np.linalg.eigvals(op.matrix)
+        distance = np.abs(real[:, None] - complex_[None, :])
+        rows, cols = linear_sum_assignment(distance)
+        scale = max(1.0 / op.tau, k * float(np.max(np.abs(op.grid.nodes))))
+        assert float(distance[rows, cols].max()) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("q", [2, 3, 16, 17, 64, 65, 256])
+    def test_density_vector_is_unit(self, q):
+        _, s = _real_form(build_operator(0.5, 1.0, gauss_hermite_grid(q)))
+        assert abs(float(s @ s) - 1.0) <= 4 * np.finfo(float).eps
+        assert np.all(s[q - q // 2 :] == 0.0)  # density lives on the even half
+
+    @pytest.mark.parametrize("q", [16, 17])
+    def test_equilibrium_is_stationary(self, q):
+        b, s = _real_form(build_operator(0.0, 2.0, gauss_hermite_grid(q)))
+        assert b @ s == pytest.approx(np.zeros(q), abs=1e-15)
+
+    @pytest.mark.parametrize("q", [2, 3, 16, 17])
+    def test_transpose_flips_the_odd_half(self, q):
+        # B^T = J B J with J = diag(I, -I): the collision blocks are
+        # symmetric and the advection blocks antisymmetric.
+        b, _ = _real_form(build_operator(0.7, 0.5, gauss_hermite_grid(q)))
+        j = np.diag(np.r_[np.ones(q - q // 2), -np.ones(q // 2)])
+        assert np.array_equal(b.T, j @ b @ j)
+
+    def test_rejects_asymmetric_grid(self, grid64):
+        grid = VelocityGrid(nodes=grid64.nodes + 1e-3, weights=grid64.weights)
+        with pytest.raises(ValueError, match="pair each node"):
+            _real_form(build_operator(0.5, 1.0, grid))
+
+
 class TestOperatorSpectrum:
     def test_k_zero_spectrum(self, grid64):
         # Without advection the spectrum is exactly {0} + {-1/tau}.
         spectrum = operator_spectrum(build_operator(0.0, 1.0, grid64))
+        assert spectrum.eigenvalues.dtype == complex
         assert spectrum.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
         assert spectrum.eigenvalues[1:] == pytest.approx(
             np.full(63, -1.0 + 0.0j), abs=1e-12
@@ -182,8 +230,21 @@ class TestOperatorSpectrum:
             operator_spectrum(op, gap_threshold=1e-300)
 
     def test_gap_threshold_override(self, grid64):
-        op = build_operator(2.0, 1.0, grid64)
-        assert operator_spectrum(op, gap_threshold=1e-300).hydrodynamic is not None
+        # At k = 0.99 the top eigenvalue is real and 0.039 above the
+        # next: merged at the default 0.1/tau, isolated at 0.01.
+        op = build_operator(0.99, 1.0, grid64)
+        default = operator_spectrum(op)
+        assert default.hydrodynamic is None
+        assert 0.03 < default.gap < 0.05
+        assert operator_spectrum(op, gap_threshold=0.01).hydrodynamic is not None
+        # At k = 2 the top is a conjugate pair.  The real eigensolver
+        # gives both the same real part, so the gap is exactly 0 and no
+        # threshold isolates either one.
+        top_pair = operator_spectrum(build_operator(2.0, 1.0, grid64), gap_threshold=1e-300)
+        assert top_pair.gap == 0.0
+        assert top_pair.hydrodynamic is None
+        assert top_pair.eigenvalues[0] == top_pair.eigenvalues[1].conjugate()
+        assert top_pair.eigenvalues[0].imag < 0.0
         with pytest.raises(ValueError):
             operator_spectrum(op, gap_threshold=0.0)
         with pytest.raises(ValueError):
@@ -256,7 +317,29 @@ class TestSimulateDensity:
     def test_expm_matches_dense_table(self, q, tau_k):
         op = build_operator(tau_k, 1.0, gauss_hermite_grid(q))
         times, density = simulate_density(op, method="expm")
+        assert density.dtype == complex
         assert np.max(np.abs(density - dense_expm(op, times))) <= 1e-14
+
+    @pytest.mark.parametrize("q", [16, 65, 256])
+    @pytest.mark.parametrize("tau_k", [0.0, 0.1, 0.5, 2.0])
+    def test_real_and_complex_oracles_agree(self, q, tau_k):
+        op = build_operator(tau_k, 1.0, gauss_hermite_grid(q))
+        times = np.linspace(0.0, 40.0, 401)
+        difference = dense_expm(op, times) - dense_expm_complex(op, times)
+        assert np.max(np.abs(difference)) <= 1e-13
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18,
+        reason="long double is no wider than double on this platform",
+    )
+    @pytest.mark.parametrize("q", [16, 17])
+    @pytest.mark.parametrize("tau_k", [0.1, 0.5, 2.0])
+    def test_expm_matches_extended_precision_taylor(self, q, tau_k):
+        op = build_operator(tau_k, 1.0, gauss_hermite_grid(q))
+        times, density = simulate_density(op, method="expm")
+        assert density.dtype == complex
+        reference = taylor_expm_longdouble(op, _default_dt(op), times.size - 1)
+        assert float(np.max(np.abs(density - reference))) <= 5e-15
 
     @pytest.mark.parametrize("q", [2, 8, 64])
     @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e3])

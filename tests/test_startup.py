@@ -3,9 +3,10 @@
 Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
 the functions that build arrays.  So ``import slowmode``, ``import
 slowmode.kinetic``, the ``branch``, ``ce`` and ``compare`` commands, and
-the kinetic commands' refusals of a bad tau, grid, velocity count or k
-must run without it, while the kinetic names stay plain attributes of
-the package and of ``slowmode.cli``.  Each check runs in a fresh
+the kinetic commands' refusals of a bad tau, grid, velocity count, k,
+time step, horizon or gap threshold must run without it, while the
+kinetic names stay plain attributes of the package and of
+``slowmode.cli``.  Each check runs in a fresh
 interpreter: another test in this process may already have imported
 numpy.
 """
@@ -41,6 +42,12 @@ CHECKS = {
             (
                 ["spectrum", "--k", "0.5", "--velocities", "300"],
                 "velocity grid size must be in 2..256, got 300",
+            ),
+            (["simulate", "--dt", "-1"], "dt must be in (0, t_end], got -1.0"),
+            (["simulate", "--t-end", "-1"], "t_end must be positive, got -1.0"),
+            (
+                ["spectrum", "--k", "0.5", "--gap-threshold", "-1"],
+                "gap threshold must be positive, got -1.0",
             ),
         ):
             err = io.StringIO()
