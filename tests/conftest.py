@@ -249,7 +249,7 @@ def taylor_expm_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: int)
     propagator = np.eye(op.grid.q, dtype=np.clongdouble)
     term = propagator.copy()
     j = 0
-    while np.max(np.abs(term)) > np.finfo(np.longdouble).eps ** 2:
+    while np.max(np.abs(term)) > np.finfo(np.longdouble).eps:
         j += 1
         term = (a @ term) / j
         propagator += term
