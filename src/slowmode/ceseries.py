@@ -35,7 +35,7 @@ and moment ratios of the computed coefficients.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SelfCheckError
 
@@ -55,16 +55,14 @@ __all__ = [
 MAX_ORDER = 200
 
 
-@dataclass(frozen=True)
-class CeSeries:
+class CeSeries(NamedTuple):
     """Expansion F(x) = sum_{n=1}^{order} c_n x^(2n), exact integers."""
 
     order: int
     coefficients: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Growth diagnostics of the expansion coefficients.
 
     ``ratios[n-1]`` is |c_n| / (2n-1)!! and ``root_tests[n-1]`` is

@@ -27,7 +27,7 @@ through one private core, which takes y from the Newton--chord loop of
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SelfCheckError
 from .special import plasma_z, solve_phi
@@ -56,8 +56,7 @@ NEAR_CRITICAL_WINDOW = 1e-8
 _RESIDUAL_LIMIT = 1e-8
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     """One solved point of the slow decay branch."""
 
     k: float
@@ -73,8 +72,7 @@ class BranchPoint:
     iterations: int
 
 
-@dataclass(frozen=True)
-class BranchTable:
+class BranchTable(NamedTuple):
     """Slow branch sampled over a wave-number grid.
 
     ``excluded`` lists the supercritical grid points (tau k >= sqrt(pi/2))

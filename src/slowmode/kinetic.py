@@ -37,7 +37,7 @@ first array is built, leaves numpy unloaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dispersion import _validate_k, _validate_tau
 
@@ -64,8 +64,7 @@ _MIN_VELOCITIES = 2
 _MAX_VELOCITIES = 256
 
 
-@dataclass(frozen=True)
-class VelocityGrid:
+class VelocityGrid(NamedTuple):
     """Gauss-Hermite velocity nodes and unit-Gaussian weights."""
 
     nodes: np.ndarray
@@ -76,8 +75,7 @@ class VelocityGrid:
         return self.nodes.size
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
+class DiscreteOperator(NamedTuple):
     """Generator of one Fourier mode on a velocity grid."""
 
     k: float
@@ -86,8 +84,7 @@ class DiscreteOperator:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Eigenvalues sorted by decreasing real part.
 
     ``hydrodynamic`` is the isolated slow eigenvalue, or None when no
@@ -102,8 +99,7 @@ class SpectrumResult:
     essential_rate: float
 
 
-@dataclass(frozen=True)
-class DecayResult:
+class DecayResult(NamedTuple):
     """Fitted exponential decay of the density trace."""
 
     rate: float

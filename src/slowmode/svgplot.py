@@ -7,7 +7,7 @@ identical inputs yield byte-identical SVG text.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["comparison_svg", "spectrum_svg"]
 
@@ -18,8 +18,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     """Affine map from data coordinates to a margined viewport."""
 
     x0: float

@@ -10,9 +10,9 @@ Substituting t = x^2 gives T_N(x) = t U(t) with the ordinary polynomial
 U(t) = sum_n c_n t^(n-1), so positivity questions reduce to a real root
 scan of U on t > 0.  Because the coefficient magnitudes are strictly
 increasing (|c_{n-1}| < |c_n| for n >= 3), the Cauchy bound puts every
-root of U at |t| <= 1 + max_n |c_n / c_N| <= 2, so scanning t in (0, 16]
-is exhaustive: beyond the scan window the sign of U is the sign of the
-leading coefficient c_N.
+root of U at |t| <= 1 + max_{n<N} |c_n / c_N| <= 2, so scanning t in
+(0, 2] is exhaustive: beyond the scan window the sign of U is the sign
+of the leading coefficient c_N.
 
 :func:`compare_to_exact` tabulates the truncations against the exact
 scaled branch across the subcritical range, where the divergent
@@ -22,7 +22,7 @@ and worsens it near the critical point.
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ceseries import CeSeries, ce_coefficients
 from .dispersion import CRITICAL_COUPLING, _solve
@@ -36,14 +36,13 @@ __all__ = [
     "eval_truncation",
 ]
 
-#: Root scan window (in t = x^2) and resolution; see module docstring
-#: for why the window is exhaustive.
-_SCAN_UPPER = 16.0
-_SCAN_STEPS = 10_000
+#: Root scan window (in t = x^2) and resolution.  The window ends at the
+#: Cauchy bound of the module docstring, so it is exhaustive.
+_SCAN_UPPER = 2.0
+_SCAN_STEPS = 1_250
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(NamedTuple):
     """Stability classification of one truncation order."""
 
     order: int
@@ -56,8 +55,7 @@ class TruncationReport:
     precedes_criticality: bool | None
 
 
-@dataclass(frozen=True)
-class TruncationComparison:
+class TruncationComparison(NamedTuple):
     """Exact branch versus truncations on a subcritical grid."""
 
     x: tuple[float, ...]
@@ -123,7 +121,7 @@ def _poly_u(coefficients: tuple[float, ...], t: float) -> float:
 def classify_stability(series: CeSeries, order: int) -> TruncationReport:
     """Decide whether T_order is strictly negative for all x > 0.
 
-    Scans U(t) on the exhaustive window t in (0, 16] with 10^4
+    Scans U(t) on the exhaustive window t in (0, 2] with 1250
     subintervals, then bisects the first bracketed sign change down to
     floating-point resolution.  An exact zero hit on the grid is itself
     a sign change (negativity fails there).
@@ -134,7 +132,7 @@ def classify_stability(series: CeSeries, order: int) -> TruncationReport:
     prev_u = coefficients[0]  # U(0+) = c_1 = -1 < 0
     root_t = None
     for i in range(1, _SCAN_STEPS + 1):
-        # Form the node as 16 i / 10^4 so that representable rationals
+        # Form the node as 2 i / 1250 so that representable rationals
         # (such as t = 1) are hit exactly rather than approached.
         t = _SCAN_UPPER * i / _SCAN_STEPS
         u = _poly_u(coefficients, t)

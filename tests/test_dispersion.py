@@ -185,7 +185,7 @@ class TestScaledEigenvalueAccuracy:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 2: F = x y - 1 cancels for small x, "
+        reason="ROADMAP item 1: F = x y - 1 cancels for small x, "
         "and F(5e-9) is exactly 0.0",
     )
     @pytest.mark.parametrize("x", [5e-9, 1e-8, 1e-6])

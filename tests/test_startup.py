@@ -1,4 +1,5 @@
-"""numpy is loaded only by the kinetic layer's functions.
+"""Start-up stays light: numpy only in the kinetic layer's functions,
+and no dataclass machinery at all.
 
 Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
 the functions that build arrays.  So ``import slowmode``, ``import
@@ -9,6 +10,11 @@ kinetic names stay plain attributes of the package and of
 ``slowmode.cli``.  Each check runs in a fresh
 interpreter: another test in this process may already have imported
 numpy.
+
+The result records are ``typing.NamedTuple`` classes, so no command
+imports :mod:`dataclasses` or the :mod:`inspect` it pulls in; the record
+test pins their fields and the immutability they had as frozen
+dataclasses.
 """
 
 import textwrap
@@ -16,8 +22,16 @@ import textwrap
 import pytest
 
 from conftest import run_python
+from slowmode import ceseries, dispersion, kinetic, svgplot, truncation
 
 CHECKS = {
+    "cli_import_skips_dataclasses": """
+        import sys
+        import slowmode.cli
+
+        assert "dataclasses" not in sys.modules
+        assert "inspect" not in sys.modules
+    """,
     "light_commands_skip_numpy": """
         import contextlib, io, sys
         from slowmode.cli import main
@@ -129,3 +143,71 @@ CHECKS = {
 def test_in_fresh_interpreter(name):
     result = run_python(["-c", textwrap.dedent(CHECKS[name])])
     assert result.returncode == 0, result.stderr
+
+
+#: Each record with the field order it had as a frozen dataclass.
+RECORDS = {
+    ceseries.CeSeries: ("order", "coefficients"),
+    ceseries.DivergenceReport: (
+        "order",
+        "ratios",
+        "root_tests",
+        "radius_estimate",
+        "root_test_increasing",
+        "ratio_band",
+    ),
+    dispersion.BranchPoint: (
+        "k",
+        "tau",
+        "eigenvalue",
+        "residual",
+        "near_critical",
+        "bracket_width",
+        "iterations",
+    ),
+    dispersion.BranchTable: ("tau", "critical_k", "points", "excluded"),
+    kinetic.VelocityGrid: ("nodes", "weights"),
+    kinetic.DiscreteOperator: ("k", "tau", "grid", "matrix"),
+    kinetic.SpectrumResult: (
+        "eigenvalues",
+        "hydrodynamic",
+        "gap",
+        "gap_threshold",
+        "essential_rate",
+    ),
+    kinetic.DecayResult: ("rate", "times", "density", "fit_start", "method"),
+    svgplot._Frame: ("x0", "x1", "y0", "y1", "width", "height", "margin"),
+    truncation.TruncationReport: (
+        "order",
+        "stable",
+        "sign_change_x",
+        "precedes_criticality",
+    ),
+    truncation.TruncationComparison: (
+        "x",
+        "orders",
+        "exact",
+        "truncations",
+        "sup_error_origin",
+        "sup_error_critical",
+        "excluded",
+    ),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda record: record.__name__)
+def test_record_fields_and_immutability(record):
+    fields = RECORDS[record]
+    assert record._fields == fields
+    values = {name: index for index, name in enumerate(fields)}
+    first, second = record(**values), record(**values)
+    assert first == second
+    with pytest.raises(AttributeError):
+        setattr(first, fields[0], -1)
+    assert repr(first).startswith(f"{record.__name__}(")
+    # The hand-written docstring survives, not the generated signature.
+    assert not record.__doc__.startswith(f"{record.__name__}(")
+
+
+def test_frame_defaults():
+    assert svgplot._Frame._field_defaults == {"width": 640, "height": 440, "margin": 50}

@@ -1,6 +1,7 @@
 """Truncation evaluation, stability classification, comparison."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from slowmode import (
     eval_truncation,
     scaled_eigenvalue,
 )
+from slowmode.ceseries import MAX_ORDER
+from slowmode.truncation import _SCAN_UPPER
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,22 @@ class TestClassifyStability:
         for order in range(1, 151):
             report = classify_stability(series, order)
             assert report.stable == (order % 2 == 1), order
+
+    def test_scan_window_covers_cauchy_bound(self):
+        # Every root t of U_N satisfies |t| <= 1 + max_{n<N} |c_n| / |c_N|
+        # (Cauchy), so the scan is exhaustive iff that bound stays within
+        # the window for every order.  Checked in exact integers.
+        magnitudes = [abs(c) for c in ce_coefficients(MAX_ORDER).coefficients]
+        upper = Fraction(_SCAN_UPPER)
+        largest_below = 0
+        bounds = []
+        for c_n in magnitudes:
+            bound = 1 + Fraction(largest_below, c_n)
+            assert bound <= upper, (len(bounds) + 1, float(bound))
+            bounds.append(bound)
+            largest_below = max(largest_below, c_n)
+        # The window is tight: T_2(x) = -x^2 + x^4 sets the worst bound.
+        assert max(bounds) == bounds[1] == 2
 
     def test_unstable_roots_precede_criticality(self, series10):
         for order in (2, 4, 6, 8, 10):
