@@ -118,10 +118,12 @@ def _open_out(path: str):
             yield fh
 
 
-def _emit(args, payload: dict, sections) -> None:
+def _emit(args, payload, sections) -> None:
+    """Write ``sections`` as CSV, or ``payload()`` as JSON: the JSON
+    document is built only when it is the format asked for."""
     with _open_out(args.out) as stream:
         if args.format == "json":
-            json.dump(payload, stream, indent=2)
+            json.dump(payload(), stream, indent=2)
             stream.write("\n")
         else:
             _write_csv(stream, sections)
@@ -196,8 +198,15 @@ def cmd_branch(args) -> int:
     sections = [(header, rows), _summary_section(summary)]
     if table.excluded:
         sections.append((["excluded_k"], [[k] for k in table.excluded]))
-    payload = {**summary, "points": _records(header, rows), "excluded": table.excluded}
-    _emit(args, payload, sections)
+    _emit(
+        args,
+        lambda: {
+            **summary,
+            "points": _records(header, rows),
+            "excluded": table.excluded,
+        },
+        sections,
+    )
     return 0
 
 
@@ -224,17 +233,20 @@ def cmd_ce(args) -> int:
         "ratio_min": band[0] if band else None,
         "ratio_max": band[1] if band else None,
     }
-    _, coefficients, magnitudes, ratios, root_tests = _columns(header, rows)
-    payload = {
-        "order": summary["order"],
-        "coefficients": coefficients,
-        "magnitude_reference": magnitudes,
-        "moment_ratios": ratios,
-        "root_tests": root_tests,
-        "radius_estimate": summary["radius_estimate"],
-        "root_test_increasing": summary["root_test_increasing"],
-        "ratio_band": list(band) if band else None,
-    }
+
+    def payload():
+        _, coefficients, magnitudes, ratios, root_tests = _columns(header, rows)
+        return {
+            "order": summary["order"],
+            "coefficients": coefficients,
+            "magnitude_reference": magnitudes,
+            "moment_ratios": ratios,
+            "root_tests": root_tests,
+            "radius_estimate": summary["radius_estimate"],
+            "root_test_increasing": summary["root_test_increasing"],
+            "ratio_band": list(band) if band else None,
+        }
+
     _emit(args, payload, [(header, rows), _summary_section(summary)])
     return 0
 
@@ -286,13 +298,16 @@ def cmd_compare(args) -> int:
         "critical_x": CRITICAL_COUPLING,
         "critical_k": critical_wave_number(tau),
     }
-    columns = _columns(header, rows)
-    payload = {
-        **summary,
-        **dict(zip(header[:3], columns)),
-        "truncations": dict(zip(map(str, comparison.orders), columns[3:])),
-        "stability": _records(stability_header, stability_rows),
-    }
+
+    def payload():
+        columns = _columns(header, rows)
+        return {
+            **summary,
+            **dict(zip(header[:3], columns)),
+            "truncations": dict(zip(map(str, comparison.orders), columns[3:])),
+            "stability": _records(stability_header, stability_rows),
+        }
+
     sections = [
         (header, rows),
         (stability_header, stability_rows),
@@ -353,8 +368,11 @@ def cmd_simulate(args) -> int:
         "t_end": t_end,
         "method": args.method,
     }
-    payload = {**summary, "points": _records(header, rows)}
-    _emit(args, payload, [(header, rows), _summary_section(summary)])
+    _emit(
+        args,
+        lambda: {**summary, "points": _records(header, rows)},
+        [(header, rows), _summary_section(summary)],
+    )
     return 0
 
 
@@ -386,8 +404,11 @@ def cmd_spectrum(args) -> int:
         "gap_threshold": spectrum.gap_threshold,
         "merged": spectrum.hydrodynamic is None,
     }
-    payload = {**summary, "eigenvalues": _records(header, rows)}
-    _emit(args, payload, [(header, rows), _summary_section(summary)])
+    _emit(
+        args,
+        lambda: {**summary, "eigenvalues": _records(header, rows)},
+        [(header, rows), _summary_section(summary)],
+    )
     if args.svg:
         _write_svg(
             args.svg,

@@ -20,9 +20,11 @@ The branch obeys the scaling law  tau lambda_d(k, tau) = F(tau k)  for a
 single universal function F, exposed here as :func:`scaled_eigenvalue`.
 
 Each entry point decides the domain (origin, subnormal, supercritical x)
-through one private core, which takes y from the Newton--chord loop of
+through one private core, which takes y from the Halley loop of
 :func:`slowmode.special.solve_phi` inside the closed-form bracket
-1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x).
+1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x).  :func:`branch_point` reuses
+the solver's phi(y) for its residual when the loop already evaluated
+it, and calls :func:`slowmode.special.plasma_z` only otherwise.
 """
 
 import math
@@ -66,9 +68,9 @@ class BranchPoint(NamedTuple):
     #: defect of the returned eigenvalue (0.0 by convention at k = 0).
     residual: float
     near_critical: bool
-    #: Width of the final certified Newton--chord bracket (solver detail).
+    #: Width of the final certified Halley bracket (solver detail).
     bracket_width: float
-    #: Passes of the Newton--chord loop (solver detail).
+    #: Passes of the Halley loop, one phi call each (solver detail).
     iterations: int
 
 
@@ -103,15 +105,18 @@ def _validate_k(k: float) -> float:
     return k
 
 
-def _solve(x: float, tau: float = 1.0) -> tuple[float, float | None, float, int] | None:
+def _solve(
+    x: float, tau: float = 1.0
+) -> tuple[float, float | None, float, int, float | None] | None:
     """The branch at x = tau k >= 0, the one place its domain is decided.
 
-    ``(eigenvalue, y, bracket_width, iterations)``, y = None at the origin;
-    None when supercritical; ValueError for a subnormal x, where the
+    ``(eigenvalue, y, bracket_width, iterations, phi_y)``, y = None at the
+    origin and phi_y = phi(y) when the solver already evaluated it, else
+    None; None when supercritical; ValueError for a subnormal x, where the
     bracket 1/x - x of :func:`solve_phi` overflows.
     """
     if x == 0.0:  # k = 0, or tau*k underflowed: F(x) = -x^2 + ... rounds to 0
-        return 0.0, None, 0.0, 0
+        return 0.0, None, 0.0, 0, None
     if x < sys.float_info.min:
         raise ValueError(
             f"scaled wave number tau*k = {x!r} is subnormal (below "
@@ -119,8 +124,8 @@ def _solve(x: float, tau: float = 1.0) -> tuple[float, float | None, float, int]
         )
     if x >= CRITICAL_COUPLING:
         return None
-    y, width, iterations = solve_phi(x)
-    return (x * y - 1.0) / tau, y, width, iterations
+    y, width, iterations, phi_y = solve_phi(x)
+    return (x * y - 1.0) / tau, y, width, iterations, phi_y
 
 
 def critical_wave_number(tau: float) -> float:
@@ -168,8 +173,14 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
     solved = _solve(x, tau)
     if solved is None:
         return None
-    eigenvalue, y, width, iterations = solved
-    residual = 0.0 if y is None else abs(plasma_z(complex(0.0, y)) - complex(0.0, x))
+    eigenvalue, y, width, iterations, phi_y = solved
+    if y is None:
+        residual = 0.0
+    elif phi_y is None:
+        residual = abs(plasma_z(complex(0.0, y)) - complex(0.0, x))
+    else:
+        # Z(iy) = i phi(y) for y >= 0: the same residual, bit for bit.
+        residual = abs(phi_y - x)
     if residual > _RESIDUAL_LIMIT:
         raise SelfCheckError(
             f"dispersion solve at k={k!r}, tau={tau!r} left residual "

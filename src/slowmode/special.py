@@ -16,9 +16,10 @@ Numerical contract: relative accuracy ~1e-15 for erfcx and phi;
 Each public function validates its argument and then calls an unchecked
 private kernel defined beside it (``_erfcx``, ``_phi``).
 :func:`solve_phi` is unchecked too; :mod:`slowmode.dispersion` validates
-c before calling it.  It runs one Newton--chord loop for phi(y) = c from
-the closed-form bracket that the Mills-ratio bounds on phi give, with
-the Newton slope from the profile ODE phi'(y) = y phi(y) - 1.
+c before calling it.  It runs one Halley loop for phi(y) = c inside the
+closed-form bracket that the Mills-ratio bounds on phi give; the
+profile ODE phi'(y) = y phi(y) - 1 supplies phi' and phi'' from each
+phi value, so one phi call buys a third-order step.
 """
 
 import math
@@ -100,44 +101,66 @@ def phi(y: float) -> float:
     return _phi(y)
 
 
-def solve_phi(c: float) -> tuple[float, float, int]:
+def solve_phi(c: float) -> tuple[float, float, int, float | None]:
     """Solve phi(y) = c for the unique root y > 0, 0 < c < sqrt(pi/2).
 
     The Mills-ratio bounds 2/(y + sqrt(y^2 + 4)) < phi(y) < 4/(3y +
     sqrt(y^2 + 8)) (Birnbaum 1942, Sampford 1953) bracket the root by
     a = max(0, 1/c - c) < y < b = (3 - sqrt(1 + 4c^2))/(2c), b - a ~ c^3.
-    phi is convex, so a Newton step from a (slope a phi(a) - 1, by the
-    profile ODE) and the chord through (a, b) both move towards the
-    root.  Each pass takes both, at least 2.2e-16 max(b, 1) inside the
-    bracket; the sign of phi - c picks the end each point replaces, so
-    the bracket stays certified.  The loop stops at b - a <= 4.4e-16
-    max(b, 1) or when a pass moves no end; y is a final Newton step from
-    a, clamped to [a, b].
+    The profile ODE gives phi' = y phi - 1 and phi'' = phi + y phi' from
+    each phi value, so each pass takes one third-order Halley step
+    (Halley 1694; Traub 1964) from the evaluated bracket end nearer to
+    the root in phi, at least 2.2e-16 max(b, 1) inside the bracket.
+    The sign of phi - c picks the end the new point replaces, so the
+    bracket stays certified.  The loop stops at b - a <= 4.4e-16
+    max(b, 1) or when a pass moves no end; y is a final Newton step
+    from a, clamped to [a, b].
 
-    Returns ``(y, bracket_width, loop_passes)``.
+    Returns ``(y, bracket_width, loop_passes, phi_y)``: phi_y is phi(y)
+    when the loop already evaluated it (y is an evaluated end), else None.
     """
-    a = max(0.0, 1.0 / c - c)
-    b = max(a, (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c))
-    pa, pb = _phi(a), _phi(b)
+    a = 1.0 / c - c
+    if a < 0.0:
+        a = 0.0
+    b = (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c)
+    if b < a:
+        b = a
+    pa = _phi(a)
+    pb = None  # phi(b), once b is an evaluated point
     passes = 0
-    while b - a > 4.4e-16 * max(b, 1.0) and pa != pb:
-        passes += 1
-        width = b - a
-        step = 2.2e-16 * max(b, 1.0)
-        # Newton from a, then the chord through (a, b).
-        for z in (a + (pa - c) / (1.0 - a * pa), b - (pb - c) * width / (pb - pa)):
-            z = min(max(z, a + step), b - step)
-            if a < z < b:
-                pz = _phi(z)
-                if pz > c:
-                    a, pa = z, pz
-                else:
-                    b, pb = z, pz
-        if b - a == width:
+    while True:
+        scale = b if b > 1.0 else 1.0
+        if b - a <= 4.4e-16 * scale:
             break
+        passes += 1
+        if pb is None or pa - c <= c - pb:
+            y, p = a, pa
+        else:
+            y, p = b, pb
+        f = p - c
+        d1 = y * p - 1.0
+        # 2 phi'^2 - f phi'' > 0: f < 0 on the b side, and f phi'' stays
+        # below 0.16 * 2 phi'^2 at the starting a for every c.
+        z = y - 2.0 * f * d1 / (2.0 * d1 * d1 - f * (p + y * d1))
+        step = 2.2e-16 * scale
+        if z < a + step:
+            z = a + step
+        elif z > b - step:
+            z = b - step
+        if not a < z < b:
+            break
+        pz = _phi(z)
+        if pz > c:
+            a, pa = z, pz
+        else:
+            b, pb = z, pz
     slope = 1.0 - a * pa
     y = a + (pa - c) / slope if slope > 0.0 else a
-    return min(max(y, a), b), b - a, passes
+    if y <= a:
+        return a, b - a, passes, pa
+    if y >= b:
+        return b, b - a, passes, pb
+    return y, b - a, passes, None
 
 
 def plasma_z(zeta: complex) -> complex:

@@ -2,6 +2,8 @@
 
 The oracles deliberately avoid the package's own algorithms: the erfcx
 reference integrates the defining integral with adaptive quadrature,
+the profile root is re-solved by the Newton--chord loop the package
+used before its Halley loop,
 the expansion coefficients are recomputed by series reversion of the
 moment series instead of the profile ODE, and
 the RK4 density trace is recomputed stage by stage instead of through
@@ -61,6 +63,38 @@ def phi_root_mp(c: float, start: float, dps: int = 50):
     """Root of phi(y) = c to ``dps`` digits, by mpmath's secant search from ``start``."""
     with mpmath.workdps(dps):
         return mpmath.findroot(lambda y: phi_mp(y) - c, mpmath.mpf(start))
+
+
+def solve_phi_newton_chord(c: float) -> tuple[float, float, int]:
+    """Root of phi(y) = c by the Newton--chord loop ``special.solve_phi``
+    ran before its Halley loop: ``(y, bracket_width, loop_passes)``.
+
+    Same closed-form bracket and stopping width; each pass takes a Newton
+    step from a (slope a phi(a) - 1) and the chord through (a, b), each
+    replacing the end its sign picks, and y is a final Newton step from a.
+    """
+    phi = slowmode.special._phi
+    a = max(0.0, 1.0 / c - c)
+    b = max(a, (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c))
+    pa, pb = phi(a), phi(b)
+    passes = 0
+    while b - a > 4.4e-16 * max(b, 1.0) and pa != pb:
+        passes += 1
+        width = b - a
+        step = 2.2e-16 * max(b, 1.0)
+        for z in (a + (pa - c) / (1.0 - a * pa), b - (pb - c) * width / (pb - pa)):
+            z = min(max(z, a + step), b - step)
+            if a < z < b:
+                pz = phi(z)
+                if pz > c:
+                    a, pa = z, pz
+                else:
+                    b, pb = z, pz
+        if b - a == width:
+            break
+    slope = 1.0 - a * pa
+    y = a + (pa - c) / slope if slope > 0.0 else a
+    return min(max(y, a), b), b - a, passes
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slowmode import a000699, comparison_svg, critical_wave_number, spectrum_svg
+from slowmode import a000699, cli, comparison_svg, critical_wave_number, spectrum_svg
 
 from conftest import csv_sections, run_cli, source_env
 
@@ -473,6 +473,22 @@ def test_json_matches_csv(args):
             assert float(row[2]) == record["eigenvalue"]
         excluded = sections[2][1:] if len(sections) == 3 else []
         assert payload["excluded"] == [float(row[0]) for row in excluded]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["branch", "--points", "5"], ["compare", "--points", "5", "--orders", "1,2"]],
+    ids=["branch", "compare"],
+)
+def test_csv_builds_no_json_payload(argv, monkeypatch, capsys):
+    # The JSON document is built only for --format json.
+    def refuse(*args):
+        raise AssertionError("JSON payload built for CSV output")
+
+    monkeypatch.setattr(cli, "_records", refuse)
+    monkeypatch.setattr(cli, "_columns", refuse)
+    assert cli.main(argv) == 0
+    assert csv_sections(capsys.readouterr().out)[0][0][0] in ("k", "x")
 
 
 class TestErrorHandling:

@@ -13,12 +13,16 @@ import slowmode
 from conftest import erfcx_quadrature, phi_root_mp
 from slowmode import (
     CRITICAL_COUPLING,
+    SelfCheckError,
     branch_point,
     critical_wave_number,
+    plasma_z,
     sample_branch,
     scaled_eigenvalue,
     solve_diffusion_mode,
 )
+from slowmode import cli, dispersion
+from slowmode.special import solve_phi
 
 
 def solve_mode_quadrature(k: float, tau: float) -> float:
@@ -238,6 +242,38 @@ class TestBranchPoint:
             y = (point.eigenvalue + 1.0) / x
             # 1e-14 is unreachable below double resolution at large y.
             assert point.bracket_width <= max(1e-14, 4.5e-16 * y)
+
+    def test_residual_is_the_plasma_z_defect(self):
+        # Reusing the solver's phi(y) must give exactly the documented
+        # |Z(iy) - i tau k| at the solver's y, including both ends of the
+        # domain: y -> 0 near critical, and the bracket at resolution.
+        xs = [CRITICAL_COUPLING * (i + 0.5) / 2000 for i in range(2000)]
+        xs += [1e-4 * 10.0 ** (i / 25) for i in range(100)]
+        xs += [CRITICAL_COUPLING - 1e-9, 1e-5]
+        for x in xs:
+            for tau in (1.0, 0.7):
+                k = x / tau
+                point = branch_point(k, tau)
+                if point is None:  # x / tau * tau rounded up to x_c
+                    continue
+                y = solve_phi(tau * k)[0]
+                defect = abs(plasma_z(complex(0.0, y)) - complex(0.0, tau * k))
+                assert point.residual == defect, (k, tau)
+
+    @pytest.mark.parametrize("known", [False, True], ids=["phi-unknown", "phi-known"])
+    def test_off_root_solver_fails_self_check(self, monkeypatch, capsys, known):
+        # The residual check must catch a wrong root whether or not the
+        # solver hands back phi at the y it returns.
+        def off_root(c):
+            y, width, passes, _ = solve_phi(c)
+            y += 0.01
+            return y, width, passes, (slowmode.phi(y) if known else None)
+
+        monkeypatch.setattr(dispersion, "solve_phi", off_root)
+        with pytest.raises(SelfCheckError, match="left residual"):
+            branch_point(0.5, 1.0)
+        assert cli.main(["branch", "--points", "3"]) == 4
+        assert "self-check failure" in capsys.readouterr().err
 
     def test_near_critical_flag(self):
         assert branch_point(CRITICAL_COUPLING - 1e-9, 1.0).near_critical

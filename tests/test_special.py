@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import erfcx_quadrature, phi_mp, phi_root_mp
-from slowmode import erfcx, phi, plasma_z, special
+from conftest import erfcx_quadrature, phi_mp, phi_root_mp, solve_phi_newton_chord
+from slowmode import branch_point, erfcx, phi, plasma_z, special
 from slowmode.special import solve_phi
 
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -150,6 +150,9 @@ SOLVE_GRID = [1e-4 * (SQRT_HALF_PI / 1e-4) ** (i / 60) for i in range(60)] + [
     SQRT_HALF_PI - 1e-9
 ]
 
+#: c uniform on (0, sqrt(pi/2)), 1,999 points.
+CALL_GRID = [SQRT_HALF_PI * i / 2000 for i in range(1, 2000)]
+
 
 class TestSolvePhi:
     def test_closed_form_bracket_holds(self):
@@ -167,14 +170,16 @@ class TestSolvePhi:
         # relative error moves the root by 1e-15 c / |phi'(y)|; beyond
         # that, the 50-digit root may miss the bracket by 2 ulps.
         for c in SOLVE_GRID:
-            y, width, _ = solve_phi(c)
+            y, width, _, _ = solve_phi(c)
             root = phi_root_mp(c, y)
             with mpmath.workdps(50):
                 slope = abs(root * phi_mp(root) - 1)
                 slack = 2 * math.ulp(y) + 1e-15 * c / slope
                 assert abs(root - y) <= width + slack, c
 
-    def test_phi_calls_per_solve(self, monkeypatch):
+    @staticmethod
+    def count_phi_calls(monkeypatch, solve, xs) -> float:
+        """Mean number of phi kernel calls per ``solve(x)`` over ``xs``."""
         calls = 0
         kernel = special._phi
 
@@ -184,17 +189,48 @@ class TestSolvePhi:
             return kernel(y)
 
         monkeypatch.setattr(special, "_phi", counting)
-        xs = [SQRT_HALF_PI * i / 2000 for i in range(1, 2000)]
         for x in xs:
-            solve_phi(x)
-        # Bracket, then about five passes of two evaluations each.
-        assert calls / len(xs) <= 12
+            solve(x)
+        return calls / len(xs)
+
+    def test_phi_calls_per_solve(self, monkeypatch):
+        # One call at a, then about four Halley passes of one call each.
+        assert self.count_phi_calls(monkeypatch, solve_phi, CALL_GRID) <= 6
+
+    def test_phi_calls_per_branch_point(self, monkeypatch):
+        # The residual reuses the solver's phi(y) whenever the loop
+        # evaluated y, so it adds well under one call per point.
+        assert self.count_phi_calls(monkeypatch, branch_point, CALL_GRID) <= 6
+
+    def test_phi_y_is_the_kernel_value(self):
+        known = 0
+        for c in SOLVE_GRID + CALL_GRID:
+            y, _, _, phi_y = solve_phi(c)
+            if phi_y is not None:
+                known += 1
+                assert phi_y == special._phi(y), c
+        assert known >= len(SOLVE_GRID + CALL_GRID) // 2
+
+    def test_agrees_with_newton_chord_oracle(self):
+        # Each root lies in the other solver's certified bracket.  Both
+        # brackets are certified for the computed phi, whose ~1e-15
+        # relative error can place its sign change 1e-15 c / |phi'(y)|
+        # away from the exact root, so the two loops may stop at
+        # different sign changes within that band; 2 ulps cover the
+        # final Newton step's rounding.
+        xs = SOLVE_GRID + [SQRT_HALF_PI * (i + 0.5) / 2000 for i in range(2000)]
+        for c in xs:
+            y, width, _, _ = solve_phi(c)
+            y_old, width_old, _ = solve_phi_newton_chord(c)
+            slack = 2 * math.ulp(y) + 1e-15 * c / abs(y * phi(y) - 1.0)
+            assert abs(y - y_old) <= min(width, width_old) + slack, c
 
     def test_bracket_below_resolution_for_tiny_c(self):
         # b - a ~ c^3 is far below one ulp of y ~ 1/c: no loop pass runs,
-        # and the chord's equal end values never divide by zero.
+        # and y is the final Newton step from a, as in the oracle.
         for c in (1e-5, 1e-300, 2.2250738585072014e-308):
-            y, _, passes = solve_phi(c)
+            y, _, passes, _ = solve_phi(c)
             assert passes == 0
+            assert (y, passes) == solve_phi_newton_chord(c)[::2]
             assert y == pytest.approx(1.0 / c, rel=1e-9)
 
