@@ -23,8 +23,8 @@ Each entry point decides the domain (origin, subnormal, supercritical x)
 through one private core, which takes y from the Halley loop of
 :func:`slowmode.special.solve_phi` inside the closed-form bracket
 1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x).  :func:`branch_point` reuses
-the solver's phi(y) for its residual when the loop already evaluated
-it, and calls :func:`slowmode.special.plasma_z` only otherwise.
+the solver's phi(y) for its residual |Z(iy) - i tau k| = |phi(y) - tau k|
+when the loop already evaluated it, and evaluates phi(y) only otherwise.
 """
 
 import math
@@ -32,7 +32,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import SelfCheckError
-from .special import plasma_z, solve_phi
+from .special import _phi, solve_phi
 
 __all__ = [
     "CRITICAL_COUPLING",
@@ -176,11 +176,10 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
     eigenvalue, y, width, iterations, phi_y = solved
     if y is None:
         residual = 0.0
-    elif phi_y is None:
-        residual = abs(plasma_z(complex(0.0, y)) - complex(0.0, x))
     else:
-        # Z(iy) = i phi(y) for y >= 0: the same residual, bit for bit.
-        residual = abs(phi_y - x)
+        # Z(iy) = i phi(y) for y >= 0, so |phi(y) - x| is the residual
+        # |Z(iy) - i x| bit for bit.
+        residual = abs((_phi(y) if phi_y is None else phi_y) - x)
     if residual > _RESIDUAL_LIMIT:
         raise SelfCheckError(
             f"dispersion solve at k={k!r}, tau={tau!r} left residual "

@@ -20,8 +20,9 @@ positive nodes,
 
 where s'_p = sqrt(2 omega_p) on the even half (an odd grid adds
 s'_0 = sqrt(omega_0) for its zero node, which has no odd partner) and
-rho(t) = s'^T exp(t B) s'.  The spectrum and the ``expm`` trace solve
-this real eigenproblem, about twice as fast as the complex one.
+rho(t) = s'^T exp(t B) s'.  B and s' are the layer's one representation
+of the generator: the spectrum, the RK4 step and the ``expm`` trace all
+work on them in real arithmetic, so the density trace is real.
 
 The operator's spectrum consists of a cluster of modes approximating the
 continuum at Re = -1/tau plus, for tau k < sqrt(pi/2), one isolated real
@@ -76,12 +77,17 @@ class VelocityGrid(NamedTuple):
 
 
 class DiscreteOperator(NamedTuple):
-    """Generator of one Fourier mode on a velocity grid."""
+    """Generator of one Fourier mode on a velocity grid, in real form.
+
+    ``matrix`` is the real q x q matrix B and ``density_vector`` the
+    real vector s' of the module docstring.
+    """
 
     k: float
     tau: float
     grid: VelocityGrid
     matrix: np.ndarray
+    density_vector: np.ndarray
 
 
 class SpectrumResult(NamedTuple):
@@ -148,24 +154,7 @@ def gauss_hermite_grid(q: int) -> VelocityGrid:
 
 
 def build_operator(k: float, tau: float, grid: VelocityGrid) -> DiscreteOperator:
-    """Assemble A = -i k diag(v) - (1/tau)(I - s s^T) on the given grid."""
-    import numpy as np
-
-    k = _validate_k(k)
-    tau = _validate_tau(tau)
-    if not math.isfinite(k * float(np.max(np.abs(grid.nodes)))):
-        raise ValueError(
-            f"wave number k = {k!r} is too large: k * max|v| overflows "
-            f"on the {grid.q}-node velocity grid"
-        )
-    s = np.sqrt(grid.weights)
-    matrix = np.outer(s, s).astype(complex) / tau
-    matrix -= np.diag(1.0 / tau + 1j * k * grid.nodes)
-    return DiscreteOperator(k=k, tau=tau, grid=grid, matrix=matrix)
-
-
-def _real_form(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Real matrix B and vector s' similar to the operator and its s.
+    """Real form B and s' of A = -i k diag(v) - (1/tau)(I - s s^T).
 
     s^T exp(t A) s = s'^T exp(t B) s' and B has the eigenvalues of A; see
     the module docstring.  The even half holds the non-negative nodes
@@ -174,7 +163,14 @@ def _real_form(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    nodes, weights = op.grid.nodes, op.grid.weights
+    k = _validate_k(k)
+    tau = _validate_tau(tau)
+    nodes, weights = grid.nodes, grid.weights
+    if not math.isfinite(k * float(np.max(np.abs(nodes)))):
+        raise ValueError(
+            f"wave number k = {k!r} is too large: k * max|v| overflows "
+            f"on the {grid.q}-node velocity grid"
+        )
     symmetric = np.array_equal(nodes, -nodes[::-1])
     if not (symmetric and np.array_equal(weights, weights[::-1])):
         raise ValueError(
@@ -187,12 +183,12 @@ def _real_form(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     if q % 2:
         s[0] = np.sqrt(weights[q // 2])
     b = np.zeros((q, q))
-    b[:n, :n] = np.outer(s[:n], s[:n]) / op.tau
-    b[np.diag_indices(q)] -= 1.0 / op.tau
+    b[:n, :n] = np.outer(s[:n], s[:n]) / tau
+    b[np.diag_indices(q)] -= 1.0 / tau
     even, odd = np.arange(q % 2, n), np.arange(n, q)
-    b[even, odd] = op.k * nodes[n:]
+    b[even, odd] = k * nodes[n:]
     b[odd, even] = -b[even, odd]
-    return b, s
+    return DiscreteOperator(k=k, tau=tau, grid=grid, matrix=b, density_vector=s)
 
 
 def operator_spectrum(
@@ -221,7 +217,7 @@ def operator_spectrum(
             f"wave number k = {op.k!r} is too large: the eigenvalue "
             f"roundoff {roundoff:.3g} reaches 0.1/tau = {resolution:.3g}"
         )
-    eigenvalues = np.linalg.eigvals(_real_form(op)[0]).astype(complex)
+    eigenvalues = np.linalg.eigvals(op.matrix).astype(complex)
     order = np.lexsort((eigenvalues.imag, -eigenvalues.real))
     eigenvalues = eigenvalues[order]
     gap = float(eigenvalues[0].real - eigenvalues[1].real)
@@ -249,7 +245,7 @@ def simulate_density(
     dt: float | None = None,
     method: str = "rk4",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Density trace rho(t) = s^T g(t) from g(0) = s.
+    """Density trace rho(t) = s'^T g(t) from g(0) = s', as float64.
 
     Both routes split each step index as n = a + m b with m the smallest
     power of two such that m^2 exceeds the step count, so rho_n is the
@@ -257,19 +253,21 @@ def simulate_density(
     vector products and a few matrix products instead of one vector
     product per step.
 
-    ``method="rk4"``: A is constant, so a classical RK4 step is the fixed
-    matrix P = sum_{j<=4} (dt A)^j / j!, built once in Horner form.  The
-    exact flow is non-expansive, so ||P||_2 > 1 + 1e-9 raises ValueError
-    ("reduce dt"); that one check covers every state.  The head rows are
-    s^T P^a; the tail rows are P^(m b) s, stepped by P^m = I + Y, where Y
-    comes from P - I by log2(m) squarings Y <- 2Y + Y^2.  With the
-    identity kept out of every product, rounding does not compound as it
-    does under plain repeated squaring of P.  ``method="expm"`` evaluates
-    the exponential through the eigendecomposition of the real form B
-    (module docstring), as the tables exp(lam t_a) and exp(lam t_(m b));
-    it shares no time-stepping error with RK4, and the two agree to
-    ~1e-8.  More than 2**24 steps x velocity nodes raises ValueError
-    before anything is allocated.
+    ``method="rk4"``: B is constant, so a classical RK4 step is the fixed
+    matrix P = I + Y with Y = hB(I + hB/2(I + hB/3(I + hB/4))), h = dt,
+    built once in Horner form without the identity.  The exact flow is
+    non-expansive, so ||P||_2 > 1 + 1e-9 raises ValueError ("reduce
+    dt"); that one check covers every state.  The head rows are
+    s'^T P^a, stepped as r + r Y; the tail rows are P^(m b) s', stepped
+    by P^m = I + Y_m, where Y_m comes from Y by log2(m) squarings
+    Y <- 2Y + Y^2.  With the identity kept out of every product,
+    rounding does not compound as it does under plain repeated
+    squaring of P.  ``method="expm"`` evaluates the exponential through
+    the eigendecomposition of B, as the tables exp(lam t_a) and
+    exp(lam t_(m b)), and keeps the real part of the result; it shares
+    no time-stepping error with RK4, and the two agree to ~1e-8.  More
+    than 2**24 steps x velocity nodes raises ValueError before anything
+    is allocated.
     """
     import numpy as np
 
@@ -299,39 +297,37 @@ def simulate_density(
     while m * m < steps + 1:
         m *= 2
 
+    s = op.density_vector
     if method == "expm":
-        b, s = _real_form(op)
-        lam, vectors = np.linalg.eig(b)
+        lam, vectors = np.linalg.eig(op.matrix)
         amplitudes = np.linalg.solve(vectors, s)
         weights = vectors.T @ s  # row of s'^T V
         head = np.exp(np.outer(times[:m], lam)) * (weights * amplitudes)
         tail = np.exp(np.outer(times[::m], lam))
         density = (tail @ head.T).reshape(-1)[: steps + 1]
-        return times, density.astype(complex, copy=False)
+        return times, density.real.copy()
 
     if method != "rk4":
         raise ValueError(f"unknown integration method {method!r}")
 
-    s = np.sqrt(op.grid.weights).astype(complex)
-
-    eye = np.eye(op.grid.q)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = eye + (dt / 4.0) * op.matrix
+        y = (dt / 4.0) * op.matrix
         for j in (3.0, 2.0, 1.0):
-            p = eye + ((dt / j) * op.matrix) @ p
+            c = (dt / j) * op.matrix
+            y = c + c @ y
+        p = np.eye(op.grid.q) + y
     norm = float(np.linalg.norm(p, 2)) if np.isfinite(p).all() else math.inf
     if norm > 1.0 + 1e-9:
         raise ValueError(
             f"dt = {dt!r} gives an expansive RK4 step, ||P||_2 = {norm:.6g}: reduce dt"
         )
-    head = np.empty((m, op.grid.q), dtype=complex)
+    head = np.empty((m, op.grid.q))
     head[0] = s
     for a in range(1, m):
-        head[a] = head[a - 1] @ p
-    y = p - eye
+        head[a] = head[a - 1] + head[a - 1] @ y
     for _ in range(m.bit_length() - 1):
         y = 2.0 * y + y @ y
-    tail = np.empty((math.ceil((steps + 1) / m), op.grid.q), dtype=complex)
+    tail = np.empty((math.ceil((steps + 1) / m), op.grid.q))
     tail[0] = s
     for b in range(1, tail.shape[0]):
         tail[b] = tail[b - 1] + y @ tail[b - 1]

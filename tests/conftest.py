@@ -6,8 +6,9 @@ the profile root is re-solved by the Newton--chord loop the package
 used before its Halley loop,
 the expansion coefficients are recomputed by series reversion of the
 moment series instead of the profile ODE, and
-the RK4 density trace is recomputed stage by stage instead of through
-the precomputed step matrix, and step by step in extended precision
+the RK4 density trace is recomputed stage by stage on the complex
+generator instead of through the precomputed step matrix of its real
+form, and step by step in extended precision
 instead of through the split step index, and the expm trace from a
 Taylor-series propagator in extended precision instead of an
 eigensolver, so agreement is evidence, not circularity.
@@ -27,7 +28,6 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import slowmode
-from slowmode.kinetic import _real_form
 
 
 def erfcx_quadrature(y: float) -> float:
@@ -196,13 +196,24 @@ def newton_oracle(order: int) -> tuple[int, ...]:
     return tuple(lam[2 * n] for n in range(1, order + 1))
 
 
+def complex_generator(op: slowmode.DiscreteOperator) -> np.ndarray:
+    """The complex generator A = -i k diag(v) - (1/tau)(I - s s^T) on the
+    operator's grid, as ``build_operator`` assembled it before it built
+    only the real form B; the tests check B against it."""
+    s = np.sqrt(op.grid.weights)
+    a = np.outer(s, s).astype(complex) / op.tau
+    a -= np.diag(1.0 / op.tau + 1j * op.k * op.grid.nodes)
+    return a
+
+
 def stagewise_rk4(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:
     """Reference density trace s^T g(n dt), n = 0..steps, from g(0) = s:
-    classical RK4 as four matvec stages per step, with a per-step watch
-    that rejects dt once the solution norm grows.  ``simulate_density``
-    applies the same step as one precomputed matrix."""
+    classical RK4 on the complex generator as four matvec stages per
+    step, with a per-step watch that rejects dt once the solution norm
+    grows.  ``simulate_density`` applies the same step to the real form
+    as one precomputed matrix."""
     s = np.sqrt(op.grid.weights).astype(complex)
-    a = op.matrix
+    a = complex_generator(op)
     g = s.copy()
     density = np.empty(steps + 1, dtype=complex)
     density[0] = s @ g
@@ -225,18 +236,19 @@ def stagewise_rk4(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.nd
 
 
 def sequential_rk4_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:
-    """Reference density trace s^T P^n s, n = 0..steps: the same Horner
-    step matrix P as ``simulate_density``, applied once per step in
-    ``np.clongdouble``, so its rounding sits far below double's."""
-    a = op.matrix.astype(np.clongdouble)
-    eye = np.eye(op.grid.q, dtype=np.clongdouble)
+    """Reference density trace s'^T P^n s', n = 0..steps: the RK4 step
+    matrix P of the operator's real form B, built in Horner form with
+    the identity and applied once per step in ``np.longdouble``, so its
+    rounding sits far below double's."""
+    b = op.matrix.astype(np.longdouble)
+    eye = np.eye(op.grid.q, dtype=np.longdouble)
     h = np.longdouble(dt)
-    p = eye + (h / 4) * a
+    p = eye + (h / 4) * b
     for j in (3, 2, 1):
-        p = eye + ((h / j) * a) @ p
-    s = np.sqrt(op.grid.weights.astype(np.longdouble)).astype(np.clongdouble)
+        p = eye + ((h / j) * b) @ p
+    s = op.density_vector.astype(np.longdouble)
     g = s.copy()
-    density = np.empty(steps + 1, dtype=np.clongdouble)
+    density = np.empty(steps + 1, dtype=np.longdouble)
     density[0] = s @ g
     for n in range(1, steps + 1):
         g = p @ g
@@ -258,14 +270,14 @@ def dense_expm(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
     generator, from the full table over eigenvalues x times (the
     evaluation ``simulate_density(method="expm")`` replaced by a split
     table)."""
-    return _eigen_trace(*_real_form(op), times)
+    return _eigen_trace(op.matrix, op.density_vector, times)
 
 
 def dense_expm_complex(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
     """Reference density trace s^T exp(A t) s from the complex generator
     itself, the route ``simulate_density(method="expm")`` took before it
     solved the real form; a cross-check of that similarity."""
-    return _eigen_trace(op.matrix, np.sqrt(op.grid.weights).astype(complex), times)
+    return _eigen_trace(complex_generator(op), np.sqrt(op.grid.weights).astype(complex), times)
 
 
 def taylor_expm_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:

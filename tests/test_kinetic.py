@@ -16,9 +16,10 @@ from slowmode import (
     simulate_density,
     solve_diffusion_mode,
 )
-from slowmode.kinetic import VelocityGrid, _default_dt, _real_form
+from slowmode.kinetic import VelocityGrid, _default_dt
 
 from conftest import (
+    complex_generator,
     dense_expm,
     dense_expm_complex,
     sequential_rk4_longdouble,
@@ -65,14 +66,15 @@ class TestBuildOperator:
     def test_trace(self, grid64):
         # tr A = -i k sum(v) - (q - 1)/tau and the node sum vanishes.
         op = build_operator(0.7, 2.0, grid64)
-        assert np.trace(op.matrix) == pytest.approx(-63.0 / 2.0, abs=1e-10)
+        assert np.trace(complex_generator(op)) == pytest.approx(-63.0 / 2.0, abs=1e-10)
 
     def test_hermitian_part_eigenvalues(self, grid64):
         # (A + A^H)/2 = -(I - s s^T)/tau, a projector complement with
         # eigenvalues 0 (once) and -1/tau (q - 1 times).
         tau = 0.5
         op = build_operator(1.3, tau, grid64)
-        herm = 0.5 * (op.matrix + op.matrix.conj().T)
+        a = complex_generator(op)
+        herm = 0.5 * (a + a.conj().T)
         eigs = np.sort(np.linalg.eigvalsh(herm))
         assert eigs[-1] == pytest.approx(0.0, abs=1e-12)
         assert eigs[:-1] == pytest.approx(np.full(63, -1.0 / tau), abs=1e-12)
@@ -87,15 +89,16 @@ class TestBuildOperator:
         # there is no advection: A s = 0.
         op = build_operator(0.0, 1.0, grid64)
         s = np.sqrt(grid64.weights)
-        assert op.matrix @ s == pytest.approx(np.zeros(64), abs=1e-13)
+        assert complex_generator(op) @ s == pytest.approx(np.zeros(64), abs=1e-13)
 
     def test_dissipativity(self, grid64):
         # Re <g, A g> <= 0 for every state: the flow is non-expansive.
         op = build_operator(0.9, 0.7, grid64)
+        a = complex_generator(op)
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-            assert (np.vdot(g, op.matrix @ g)).real <= 1e-10 * np.vdot(g, g).real
+            assert (np.vdot(g, a @ g)).real <= 1e-10 * np.vdot(g, g).real
 
     def test_rejects_bad_parameters(self, grid64):
         with pytest.raises(ValueError):
@@ -116,8 +119,8 @@ class TestRealForm:
         # moves no eigenvalue by more than roundoff of the larger of
         # the collision and advection scales.
         op = build_operator(k, 1.0, gauss_hermite_grid(q))
-        real = np.linalg.eigvals(_real_form(op)[0])
-        complex_ = np.linalg.eigvals(op.matrix)
+        real = np.linalg.eigvals(op.matrix)
+        complex_ = np.linalg.eigvals(complex_generator(op))
         distance = np.abs(real[:, None] - complex_[None, :])
         rows, cols = linear_sum_assignment(distance)
         scale = max(1.0 / op.tau, k * float(np.max(np.abs(op.grid.nodes))))
@@ -125,27 +128,27 @@ class TestRealForm:
 
     @pytest.mark.parametrize("q", [2, 3, 16, 17, 64, 65, 256])
     def test_density_vector_is_unit(self, q):
-        _, s = _real_form(build_operator(0.5, 1.0, gauss_hermite_grid(q)))
+        s = build_operator(0.5, 1.0, gauss_hermite_grid(q)).density_vector
         assert abs(float(s @ s) - 1.0) <= 4 * np.finfo(float).eps
         assert np.all(s[q - q // 2 :] == 0.0)  # density lives on the even half
 
     @pytest.mark.parametrize("q", [16, 17])
     def test_equilibrium_is_stationary(self, q):
-        b, s = _real_form(build_operator(0.0, 2.0, gauss_hermite_grid(q)))
-        assert b @ s == pytest.approx(np.zeros(q), abs=1e-15)
+        op = build_operator(0.0, 2.0, gauss_hermite_grid(q))
+        assert op.matrix @ op.density_vector == pytest.approx(np.zeros(q), abs=1e-15)
 
     @pytest.mark.parametrize("q", [2, 3, 16, 17])
     def test_transpose_flips_the_odd_half(self, q):
         # B^T = J B J with J = diag(I, -I): the collision blocks are
         # symmetric and the advection blocks antisymmetric.
-        b, _ = _real_form(build_operator(0.7, 0.5, gauss_hermite_grid(q)))
+        b = build_operator(0.7, 0.5, gauss_hermite_grid(q)).matrix
         j = np.diag(np.r_[np.ones(q - q // 2), -np.ones(q // 2)])
         assert np.array_equal(b.T, j @ b @ j)
 
     def test_rejects_asymmetric_grid(self, grid64):
         grid = VelocityGrid(nodes=grid64.nodes + 1e-3, weights=grid64.weights)
         with pytest.raises(ValueError, match="pair each node"):
-            _real_form(build_operator(0.5, 1.0, grid))
+            build_operator(0.5, 1.0, grid)
 
 
 class TestOperatorSpectrum:
@@ -290,12 +293,15 @@ class TestSimulateDensity:
         np.finfo(np.longdouble).eps > 1e-18,
         reason="long double is no wider than double on this platform",
     )
-    @pytest.mark.parametrize("tau_k", [0.1, 0.5])
-    def test_rk4_matches_extended_precision(self, tau_k):
+    @pytest.mark.parametrize("q", [16, 17])
+    @pytest.mark.parametrize("tau_k", [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.65, 1.0, 2.0])
+    def test_rk4_matches_extended_precision(self, q, tau_k):
         # The split trace squares P - I rather than P, so its rounding
         # stays at the level of the step-by-step loop (~1e-15 over 4000
-        # steps); repeated squaring of P itself drifts to ~1e-13.
-        op = build_operator(tau_k, 1.0, gauss_hermite_grid(16))
+        # steps); repeated squaring of P itself drifts to ~1e-13.  Y is
+        # also formed without the identity: building P in Horner form
+        # and taking Y = P - I reads up to ~1e-13 at small tau k.
+        op = build_operator(tau_k, 1.0, gauss_hermite_grid(q))
         times, density = simulate_density(op)
         assert times.size == 4001
         reference = sequential_rk4_longdouble(op, _default_dt(op), times.size - 1)
@@ -317,7 +323,7 @@ class TestSimulateDensity:
     def test_expm_matches_dense_table(self, q, tau_k):
         op = build_operator(tau_k, 1.0, gauss_hermite_grid(q))
         times, density = simulate_density(op, method="expm")
-        assert density.dtype == complex
+        assert density.dtype == float
         assert np.max(np.abs(density - dense_expm(op, times))) <= 1e-14
 
     @pytest.mark.parametrize("q", [16, 65, 256])
@@ -337,7 +343,7 @@ class TestSimulateDensity:
     def test_expm_matches_extended_precision_taylor(self, q, tau_k):
         op = build_operator(tau_k, 1.0, gauss_hermite_grid(q))
         times, density = simulate_density(op, method="expm")
-        assert density.dtype == complex
+        assert density.dtype == float
         reference = taylor_expm_longdouble(op, _default_dt(op), times.size - 1)
         assert float(np.max(np.abs(density - reference))) <= 5e-15
 

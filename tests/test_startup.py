@@ -167,7 +167,7 @@ RECORDS = {
     ),
     dispersion.BranchTable: ("tau", "critical_k", "points", "excluded"),
     kinetic.VelocityGrid: ("nodes", "weights"),
-    kinetic.DiscreteOperator: ("k", "tau", "grid", "matrix"),
+    kinetic.DiscreteOperator: ("k", "tau", "grid", "matrix", "density_vector"),
     kinetic.SpectrumResult: (
         "eigenvalues",
         "hydrodynamic",
