@@ -25,84 +25,27 @@ its functions.  So ``import slowmode`` and the ``branch``, ``ce`` and
 function that builds an array does.
 """
 
-from .ceseries import (
-    CeSeries,
-    DivergenceReport,
-    a000699,
-    ce_coefficients,
-    divergence_diagnostics,
-    gaussian_moment_series,
-)
-from .dispersion import (
-    CRITICAL_COUPLING,
-    BranchPoint,
-    BranchTable,
-    branch_point,
-    critical_wave_number,
-    sample_branch,
-    scaled_eigenvalue,
-    solve_diffusion_mode,
-)
-from .errors import SelfCheckError
-from .kinetic import (
-    DecayResult,
-    DiscreteOperator,
-    SpectrumResult,
-    VelocityGrid,
-    build_operator,
-    fit_decay_rate,
-    gauss_hermite_grid,
-    operator_spectrum,
-    simulate_decay,
-    simulate_density,
-)
-from .special import erfcx, phi, plasma_z
-from .svgplot import comparison_svg, spectrum_svg
-from .truncation import (
-    TruncationComparison,
-    TruncationReport,
-    classify_stability,
-    compare_to_exact,
-    eval_truncation,
-)
+from .ceseries import *
+from .dispersion import *
+from .errors import *
+from .kinetic import *
+from .special import *
+from .svgplot import *
+from .truncation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchPoint",
-    "BranchTable",
-    "CRITICAL_COUPLING",
-    "CeSeries",
-    "DecayResult",
-    "DiscreteOperator",
-    "DivergenceReport",
-    "SelfCheckError",
-    "SpectrumResult",
-    "TruncationComparison",
-    "TruncationReport",
-    "VelocityGrid",
-    "__version__",
-    "a000699",
-    "branch_point",
-    "build_operator",
-    "ce_coefficients",
-    "classify_stability",
-    "compare_to_exact",
-    "comparison_svg",
-    "critical_wave_number",
-    "divergence_diagnostics",
-    "erfcx",
-    "eval_truncation",
-    "fit_decay_rate",
-    "gauss_hermite_grid",
-    "gaussian_moment_series",
-    "operator_spectrum",
-    "phi",
-    "plasma_z",
-    "sample_branch",
-    "scaled_eigenvalue",
-    "simulate_decay",
-    "simulate_density",
-    "solve_diffusion_mode",
-    "spectrum_svg",
-]
+# Each layer declares its public names once, in its own ``__all__``;
+# ``from .<layer> import *`` also binds the layer module itself here.
+__all__ = sorted(
+    [
+        "__version__",
+        *ceseries.__all__,
+        *dispersion.__all__,
+        *errors.__all__,
+        *kinetic.__all__,
+        *special.__all__,
+        *svgplot.__all__,
+        *truncation.__all__,
+    ]
+)

@@ -19,14 +19,16 @@ and matching powers of x^(2m) yields an integer recurrence,
     c = -1, 1, -4, 27, -248, ...
 
 Each c_m costs m - 1 big-integer products, so c_1..c_n cost O(n^2) of
-them and no rational arithmetic at all.  The magnitudes satisfy the
-quadratic recurrence
+them and no rational arithmetic at all.  Pairing j with m - j turns
+the weight 2(m-j) - 1 into m - 1, so c_m = (m-1) sum_j c_j c_{m-j},
+and the magnitudes satisfy the quadratic recurrence
 
     a_1 = 1,   a_n = (n-1) * sum_{j=1}^{n-1} a_j a_{n-j},
 
-(OEIS A000699), reached independently from the Gaussian moment series
-and exposed by :func:`a000699` as a cross-check route:
-|c_n| = a_n with strictly alternating signs starting at c_1 = -1.
+(OEIS A000699), with |c_n| = a_n and strictly alternating signs
+starting at c_1 = -1.  :func:`a000699` is this symmetrized recurrence,
+so it checks the weight derivation; the Newton and Lagrange reversions
+of the Gaussian moment series in the tests are the independent routes.
 
 The series has radius of convergence zero: |c_n| grows faster than any
 geometric sequence, with |c_n| / (2n-1)!! settling to an order-one
@@ -108,7 +110,8 @@ def a000699(n: int) -> list[int]:
     """First n terms of the quadratic recurrence a_1 = 1,
     a_n = (n-1) * sum_{j=1}^{n-1} a_j a_{n-j}.
 
-    Independent integer route for the coefficient magnitudes |c_n|.
+    The ODE recurrence of :func:`ce_coefficients` symmetrized in j and
+    n - j, so a check of its weights (module docstring).
     """
     n = _validate_order(n)
     seq = [1]

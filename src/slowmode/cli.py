@@ -32,7 +32,8 @@ from . import __version__
 from .ceseries import a000699, ce_coefficients, divergence_diagnostics
 from .dispersion import (
     CRITICAL_COUPLING,
-    _validate_k,
+    _validate_nonnegative,
+    _validate_positive,
     critical_wave_number,
     sample_branch,
     solve_diffusion_mode,
@@ -40,7 +41,6 @@ from .dispersion import (
 from .errors import SelfCheckError
 from .kinetic import (
     _validate_dt,
-    _validate_positive,
     _validate_velocities,
     build_operator,
     gauss_hermite_grid,
@@ -139,21 +139,13 @@ def _write_svg(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _positive_tau(args) -> float:
-    tau = float(args.tau)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"--tau must be positive, got {args.tau!r}")
-    return tau
-
-
 def _wave_grid(kmin: float, kmax: float | None, points: int, tau: float) -> list[float]:
     """Uniform half-open grid [kmin, kmax) with ``points`` nodes."""
     if points < 1:
         raise ValueError(f"--points must be >= 1, got {points!r}")
     if points > MAX_POINTS:
         raise ValueError(f"--points must be <= {MAX_POINTS}, got {points!r}")
-    if not (math.isfinite(kmin) and kmin >= 0.0):
-        raise ValueError(f"--kmin must be >= 0, got {kmin!r}")
+    kmin = _validate_nonnegative(kmin, "--kmin")
     named = "--kmax"
     if kmax is None:
         named = "the critical wave number (default --kmax)"
@@ -161,7 +153,10 @@ def _wave_grid(kmin: float, kmax: float | None, points: int, tau: float) -> list
     if not (math.isfinite(kmax) and kmax > kmin):
         raise ValueError(f"{named} must exceed --kmin, got {kmax!r}")
     span = kmax - kmin
-    return [kmin + span * i / points for i in range(points)]
+    # Dividing a span > 1 by a power of two above ``points`` and scaling
+    # back is exact and changes no rounding, but keeps span * i finite.
+    scale = 2.0 ** points.bit_length() if span > 1.0 else 1.0
+    return [kmin + span / scale * i / points * scale for i in range(points)]
 
 
 def _parse_orders(text: str) -> list[int]:
@@ -180,7 +175,7 @@ def _parse_orders(text: str) -> list[int]:
 
 
 def cmd_branch(args) -> int:
-    tau = _positive_tau(args)
+    tau = _validate_positive(args.tau, "--tau")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
     table = sample_branch(tau, grid)
     if not table.points:
@@ -252,7 +247,7 @@ def cmd_ce(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    tau = _positive_tau(args)
+    tau = _validate_positive(args.tau, "--tau")
     orders = _parse_orders(args.orders)
     x_grid = _wave_grid(0.0, CRITICAL_COUPLING, args.points, tau)
     series = ce_coefficients(orders[-1])
@@ -328,7 +323,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    tau = _positive_tau(args)
+    tau = _validate_positive(args.tau, "--tau")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
     _validate_velocities(args.velocities)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
@@ -377,10 +372,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    tau = _positive_tau(args)
-    k = float(args.k)
+    tau = _validate_positive(args.tau, "--tau")
     _validate_velocities(args.velocities)
-    _validate_k(k)
+    k = _validate_nonnegative(args.k, "wave number k")
     if args.gap_threshold is not None:
         _validate_positive(args.gap_threshold, "gap threshold")
     velocity_grid = gauss_hermite_grid(args.velocities)

@@ -87,22 +87,29 @@ class BranchTable(NamedTuple):
     excluded: list[float]
 
 
+def _validate_positive(value: float, name: str) -> float:
+    """``value`` as a float, refused unless finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _validate_nonnegative(value: float, name: str) -> float:
+    """``value`` as a float, refused unless finite and >= 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
 def _validate_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"relaxation time tau must be positive, got {tau!r}")
+    tau = _validate_positive(tau, "relaxation time tau")
     if not math.isfinite(1.0 / tau):
         raise ValueError(
             f"relaxation time tau = {tau!r} is too small: 1/tau overflows"
         )
     return tau
-
-
-def _validate_k(k: float) -> float:
-    k = float(k)
-    if not (math.isfinite(k) and k >= 0.0):
-        raise ValueError(f"wave number k must be >= 0, got {k!r}")
-    return k
 
 
 def _solve(
@@ -141,9 +148,7 @@ def scaled_eigenvalue(x: float) -> float:
     x -> sqrt(pi/2); raises ValueError for supercritical x where no
     isolated mode exists.
     """
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"scaled wave number must be >= 0, got {x!r}")
+    x = _validate_nonnegative(x, "scaled wave number")
     solved = _solve(x)
     if solved is None:
         raise ValueError(
@@ -159,7 +164,7 @@ def solve_diffusion_mode(k: float, tau: float = 1.0) -> float | None:
     Returns 0.0 at k = 0 (mass conservation), a value in (-1/tau, 0) for
     0 < tau k < sqrt(pi/2), and None for tau k >= sqrt(pi/2).
     """
-    k = _validate_k(k)
+    k = _validate_nonnegative(k, "wave number k")
     tau = _validate_tau(tau)
     solved = _solve(tau * k, tau)
     return None if solved is None else solved[0]
@@ -167,7 +172,7 @@ def solve_diffusion_mode(k: float, tau: float = 1.0) -> float | None:
 
 def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
     """Solve one branch point with solver diagnostics, or None if supercritical."""
-    k = _validate_k(k)
+    k = _validate_nonnegative(k, "wave number k")
     tau = _validate_tau(tau)
     x = tau * k
     solved = _solve(x, tau)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .dispersion import _validate_k, _validate_tau
+from .dispersion import _validate_nonnegative, _validate_positive, _validate_tau
 
 __all__ = [
     "DecayResult",
@@ -125,13 +125,6 @@ def _validate_velocities(q: int) -> int:
     return q
 
 
-def _validate_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
 def _validate_dt(dt: float, t_end: float) -> float:
     dt = float(dt)
     if not (math.isfinite(dt) and 0.0 < dt <= t_end):
@@ -163,7 +156,7 @@ def build_operator(k: float, tau: float, grid: VelocityGrid) -> DiscreteOperator
     """
     import numpy as np
 
-    k = _validate_k(k)
+    k = _validate_nonnegative(k, "wave number k")
     tau = _validate_tau(tau)
     nodes, weights = grid.nodes, grid.weights
     if not math.isfinite(k * float(np.max(np.abs(nodes)))):
@@ -236,7 +229,10 @@ def _default_dt(op: DiscreteOperator) -> float:
     import numpy as np
 
     v_max = float(np.max(np.abs(op.grid.nodes)))
-    return min(0.01 * op.tau, 1.0 / (op.k * v_max + 1.0 / op.tau))
+    rate = op.k * v_max + 1.0 / op.tau
+    if rate == math.inf:  # 1/tau near the double range: scale by tau
+        return min(0.01 * op.tau, op.tau / (op.tau * op.k * v_max + 1.0))
+    return min(0.01 * op.tau, 1.0 / rate)
 
 
 def simulate_density(
@@ -304,35 +300,32 @@ def simulate_density(
         weights = vectors.T @ s  # row of s'^T V
         head = np.exp(np.outer(times[:m], lam)) * (weights * amplitudes)
         tail = np.exp(np.outer(times[::m], lam))
-        density = (tail @ head.T).reshape(-1)[: steps + 1]
-        return times, density.real.copy()
-
-    if method != "rk4":
+    elif method == "rk4":
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = (dt / 4.0) * op.matrix
+            for j in (3.0, 2.0, 1.0):
+                c = (dt / j) * op.matrix
+                y = c + c @ y
+            p = np.eye(op.grid.q) + y
+        norm = float(np.linalg.norm(p, 2)) if np.isfinite(p).all() else math.inf
+        if norm > 1.0 + 1e-9:
+            raise ValueError(
+                f"dt = {dt!r} gives an expansive RK4 step, ||P||_2 = {norm:.6g}: reduce dt"
+            )
+        head = np.empty((m, op.grid.q))
+        head[0] = s
+        for a in range(1, m):
+            head[a] = head[a - 1] + head[a - 1] @ y
+        for _ in range(m.bit_length() - 1):
+            y = 2.0 * y + y @ y
+        tail = np.empty((math.ceil((steps + 1) / m), op.grid.q))
+        tail[0] = s
+        for b in range(1, tail.shape[0]):
+            tail[b] = tail[b - 1] + y @ tail[b - 1]
+    else:
         raise ValueError(f"unknown integration method {method!r}")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = (dt / 4.0) * op.matrix
-        for j in (3.0, 2.0, 1.0):
-            c = (dt / j) * op.matrix
-            y = c + c @ y
-        p = np.eye(op.grid.q) + y
-    norm = float(np.linalg.norm(p, 2)) if np.isfinite(p).all() else math.inf
-    if norm > 1.0 + 1e-9:
-        raise ValueError(
-            f"dt = {dt!r} gives an expansive RK4 step, ||P||_2 = {norm:.6g}: reduce dt"
-        )
-    head = np.empty((m, op.grid.q))
-    head[0] = s
-    for a in range(1, m):
-        head[a] = head[a - 1] + head[a - 1] @ y
-    for _ in range(m.bit_length() - 1):
-        y = 2.0 * y + y @ y
-    tail = np.empty((math.ceil((steps + 1) / m), op.grid.q))
-    tail[0] = s
-    for b in range(1, tail.shape[0]):
-        tail[b] = tail[b - 1] + y @ tail[b - 1]
     density = (tail @ head.T).reshape(-1)[: steps + 1]
-    return times, density
+    return times, density.real.copy()
 
 
 def fit_decay_rate(times, density, fit_start: float | None = None) -> float:
@@ -368,8 +361,16 @@ def simulate_decay(
     dt: float | None = None,
     method: str = "rk4",
 ) -> DecayResult:
-    """Integrate the mode and fit the asymptotic density decay rate."""
+    """Integrate the mode and fit the asymptotic density decay rate.
+
+    The fit needs two steps: a dt that reaches t_end in one raises ValueError.
+    """
     times, density = simulate_density(op, t_end=t_end, dt=dt, method=method)
+    if times.size < 3:
+        raise ValueError(
+            f"dt = {float(times[1])!r} reaches t_end in one step, and the decay "
+            "fit needs at least two: lower dt or raise t_end"
+        )
     fit_start = 0.5 * float(times[-1])
     rate = fit_decay_rate(times, density, fit_start)
     return DecayResult(

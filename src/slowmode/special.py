@@ -34,6 +34,16 @@ _SQRT_HALF = math.sqrt(0.5)
 _EXP_LIMIT = 709.0
 
 
+def _validate_argument(y: float, name: str) -> float:
+    """The argument check of :func:`erfcx` and :func:`phi`."""
+    y = float(y)
+    if not math.isfinite(y):
+        raise ValueError(f"{name} argument must be finite, got {y!r}")
+    if y < 0.0:
+        raise ValueError(f"{name} argument must be >= 0, got {y!r}")
+    return y
+
+
 def _erfcx(y: float) -> float:
     """Scaled complementary error function exp(y^2) erfc(y) for y >= 0.
 
@@ -74,12 +84,7 @@ def erfcx(y: float) -> float:
         erfcx(y), strictly decreasing from erfcx(0) = 1 towards 0 with
         the tail behaviour erfcx(y) ~ 1 / (y sqrt(pi)).
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"erfcx argument must be finite, got {y!r}")
-    if y < 0.0:
-        raise ValueError(f"erfcx argument must be >= 0, got {y!r}")
-    return _erfcx(y)
+    return _erfcx(_validate_argument(y, "erfcx"))
 
 
 def _phi(y: float) -> float:
@@ -93,12 +98,7 @@ def phi(y: float) -> float:
     Strictly decreasing from phi(0) = sqrt(pi/2) to 0; the slow decay
     mode at scaled wave number x solves phi(y) = x.
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"phi argument must be finite, got {y!r}")
-    if y < 0.0:
-        raise ValueError(f"phi argument must be >= 0, got {y!r}")
-    return _phi(y)
+    return _phi(_validate_argument(y, "phi"))
 
 
 def solve_phi(c: float) -> tuple[float, float, int, float | None]:

@@ -25,7 +25,7 @@ import sys
 from typing import NamedTuple
 
 from .ceseries import CeSeries, ce_coefficients
-from .dispersion import CRITICAL_COUPLING, _solve
+from .dispersion import CRITICAL_COUPLING, _solve, _validate_nonnegative
 from .errors import SelfCheckError
 
 __all__ = [
@@ -196,9 +196,7 @@ def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> Trunca
     exact: list[float] = []
     excluded: list[float] = []
     for x in x_values:
-        x = float(x)
-        if not (math.isfinite(x) and x >= 0.0):
-            raise ValueError(f"scaled wave number must be >= 0, got {x!r}")
+        x = _validate_nonnegative(x, "scaled wave number")
         solved = _solve(x)
         if solved is None:
             excluded.append(x)

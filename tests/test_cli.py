@@ -100,6 +100,24 @@ class TestBranchCommand:
         # Half-open grid [2, 3) with 3 nodes.
         assert [float(r[0]) for r in sections[2][1:]] == [2.0 + i / 3.0 for i in range(3)]
 
+    def test_grid_near_the_double_range(self):
+        # span * i overflows at the last node, span * i / points does not.
+        result = run_cli(
+            ["branch", "--tau", "1e-308", "--kmax", "1.7e308", "--points", "3"]
+        )
+        assert result.returncode == 0, result.stderr
+        table = csv_sections(result.stdout)[0]
+        assert [float(row[0]) for row in table[1:]] == [0.0, 1.7e308 / 3, 2 * (1.7e308 / 3)]
+
+    @pytest.mark.parametrize(
+        "kmin, kmax, points",
+        [(0.0, 1.2533141373155001, 200), (0.3, 3.0, 7), (2.0, 1e300, 999), (1e-310, 3e-310, 3)],
+    )
+    def test_grid_nodes_are_kmin_plus_span_i_over_points(self, kmin, kmax, points):
+        span = kmax - kmin
+        expected = [kmin + span * i / points for i in range(points)]
+        assert cli._wave_grid(kmin, kmax, points, 1.0) == expected
+
 
 class TestCeCommand:
     def test_csv_schema(self, ce_csv):
@@ -296,6 +314,27 @@ class TestSimulateCommand:
         row = csv_sections(result.stdout)[0][1]
         assert row[7] == "no_isolated_mode"
         assert row[3] == "" and row[4] == "" and row[5] == ""
+
+    def test_automatic_dt_near_the_double_range(self):
+        # k v_max + 1/tau overflows; the automatic step is still
+        # min(0.01 tau, tau / (tau k v_max + 1)) = 0.01 tau.
+        result = run_cli(
+            ["simulate", "--tau", "1e-308", "--kmin", "5e307", "--kmax", "6e307"]
+            + ["--points", "1", "--velocities", "4"]
+        )
+        assert result.returncode == 0, result.stderr
+        assert float(csv_sections(result.stdout)[0][1][6]) == 0.01 * 1e-308
+
+    @pytest.mark.parametrize(
+        "args", [["--t-end", "0.01", "--dt", "0.01"], ["--dt", "40", "--method", "expm"]]
+    )
+    def test_one_step_trace_is_refused(self, args):
+        # The decay fit needs two steps; the refusal names dt and t_end.
+        result = run_cli(["simulate", "--points", "1", *args])
+        assert result.returncode == 2
+        assert result.stderr.startswith("slowmode: error: dt = ")
+        assert "t_end" in result.stderr
+        assert "fit window" not in result.stderr
 
 
 class TestSpectrumCommand:

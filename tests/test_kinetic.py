@@ -370,6 +370,12 @@ class TestSimulateDensity:
         with pytest.raises(ValueError):
             simulate_density(op, method="euler")
 
+    def test_decay_fit_refuses_a_one_step_trace(self, grid64):
+        op = build_operator(0.5, 1.0, grid64)
+        assert simulate_density(op, t_end=1.0, dt=1.0, method="expm")[0].size == 2
+        with pytest.raises(ValueError, match=r"dt = 1.0 reaches t_end in one step"):
+            simulate_decay(op, t_end=1.0, dt=1.0, method="expm")
+
 
 class TestFitDecayRate:
     def test_exact_exponential(self):

@@ -73,8 +73,14 @@ CHECKS = {
     "package_names": """
         import sys
         import slowmode
+        from slowmode import ceseries, dispersion, errors, kinetic, special, svgplot, truncation
 
         assert getattr(slowmode, "backend", None) is None
+        # Each public name is declared once, by its layer.
+        layers = (ceseries, dispersion, errors, kinetic, special, svgplot, truncation)
+        names = ["__version__", *(name for layer in layers for name in layer.__all__)]
+        assert len(set(names)) == len(names), names
+        assert slowmode.__all__ == sorted(names)
         assert set(slowmode.__all__) <= set(dir(slowmode))
         assert "numpy" not in sys.modules
         # Looking a kinetic name up loads nothing; the first call that
