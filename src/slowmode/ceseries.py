@@ -39,7 +39,7 @@ and moment ratios of the computed coefficients.
 import math
 from typing import NamedTuple
 
-from .errors import SelfCheckError
+from .errors import SelfCheckError, _validate_count
 
 __all__ = [
     "CeSeries",
@@ -85,21 +85,13 @@ class DivergenceReport(NamedTuple):
     ratio_band: tuple[float, float] | None
 
 
-def _validate_order(n: int) -> int:
-    n = int(n)
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n!r}")
-    return n
-
-
 def gaussian_moment_series(n: int) -> list[int]:
-    """Even moments of the unit Gaussian: [(2m-1)!! for m = 0..n].
+    """Even moments of the unit Gaussian: [(2m-1)!! for m = 0..n], n <= MAX_ORDER.
 
     (2m-1)!! = integral of v^(2m) against the unit Gaussian, by the
     integration-by-parts recurrence m_{2m} = (2m-1) m_{2m-2}.
     """
-    if n < 0:
-        raise ValueError(f"moment count must be >= 0, got {n!r}")
+    n = _validate_count(n, "moment count", 0, MAX_ORDER)
     moments = [1]
     for m in range(1, n + 1):
         moments.append((2 * m - 1) * moments[-1])
@@ -113,7 +105,7 @@ def a000699(n: int) -> list[int]:
     The ODE recurrence of :func:`ce_coefficients` symmetrized in j and
     n - j, so a check of its weights (module docstring).
     """
-    n = _validate_order(n)
+    n = _validate_count(n, "order", 1, MAX_ORDER)
     seq = [1]
     for m in range(2, n + 1):
         seq.append((m - 1) * sum(seq[j] * seq[m - 2 - j] for j in range(m - 1)))
@@ -126,7 +118,7 @@ def ce_coefficients(order: int) -> CeSeries:
     Runs the integer recurrence of the profile ODE (module docstring)
     and asserts the strict sign alternation, starting negative.
     """
-    order = _validate_order(order)
+    order = _validate_count(order, "order", 1, MAX_ORDER)
     coeffs = [-1]
     for m in range(2, order + 1):
         c = sum(
@@ -161,9 +153,7 @@ def divergence_diagnostics(series: CeSeries) -> DivergenceReport:
         _root_test(c, n) for n, c in enumerate(series.coefficients, start=1)
     )
     tail = root_tests[4:]
-    increasing = len(tail) >= 2 and all(
-        b > a for a, b in zip(tail, tail[1:])
-    )
+    increasing = len(tail) >= 2 and all(b > a for a, b in zip(tail, tail[1:]))
     band = None
     if series.order >= 10:
         settled = ratios[9:]

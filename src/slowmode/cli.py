@@ -32,16 +32,19 @@ from . import __version__
 from .ceseries import a000699, ce_coefficients, divergence_diagnostics
 from .dispersion import (
     CRITICAL_COUPLING,
-    _validate_nonnegative,
-    _validate_positive,
     critical_wave_number,
     sample_branch,
     solve_diffusion_mode,
 )
-from .errors import SelfCheckError
+from .errors import (
+    SelfCheckError,
+    _validate_count,
+    _validate_nonnegative,
+    _validate_positive,
+)
 from .kinetic import (
+    _VELOCITY_COUNT,
     _validate_dt,
-    _validate_velocities,
     build_operator,
     gauss_hermite_grid,
     operator_spectrum,
@@ -141,10 +144,7 @@ def _write_svg(path: str, text: str) -> None:
 
 def _wave_grid(kmin: float, kmax: float | None, points: int, tau: float) -> list[float]:
     """Uniform half-open grid [kmin, kmax) with ``points`` nodes."""
-    if points < 1:
-        raise ValueError(f"--points must be >= 1, got {points!r}")
-    if points > MAX_POINTS:
-        raise ValueError(f"--points must be <= {MAX_POINTS}, got {points!r}")
+    points = _validate_count(points, "--points", 1, MAX_POINTS)
     kmin = _validate_nonnegative(kmin, "--kmin")
     named = "--kmax"
     if kmax is None:
@@ -325,7 +325,7 @@ def cmd_compare(args) -> int:
 def cmd_simulate(args) -> int:
     tau = _validate_positive(args.tau, "--tau")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
-    _validate_velocities(args.velocities)
+    _validate_count(args.velocities, *_VELOCITY_COUNT)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
     t_end = _validate_positive(t_end, "t_end")
     if args.dt is not None:
@@ -373,7 +373,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     tau = _validate_positive(args.tau, "--tau")
-    _validate_velocities(args.velocities)
+    _validate_count(args.velocities, *_VELOCITY_COUNT)
     k = _validate_nonnegative(args.k, "wave number k")
     if args.gap_threshold is not None:
         _validate_positive(args.gap_threshold, "gap threshold")

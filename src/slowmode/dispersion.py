@@ -31,7 +31,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import SelfCheckError
+from .errors import SelfCheckError, _validate_nonnegative, _validate_tau
 from .special import _phi, solve_phi
 
 __all__ = [
@@ -85,31 +85,6 @@ class BranchTable(NamedTuple):
     critical_k: float
     points: list[BranchPoint]
     excluded: list[float]
-
-
-def _validate_positive(value: float, name: str) -> float:
-    """``value`` as a float, refused unless finite and > 0."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def _validate_nonnegative(value: float, name: str) -> float:
-    """``value`` as a float, refused unless finite and >= 0."""
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def _validate_tau(tau: float) -> float:
-    tau = _validate_positive(tau, "relaxation time tau")
-    if not math.isfinite(1.0 / tau):
-        raise ValueError(
-            f"relaxation time tau = {tau!r} is too small: 1/tau overflows"
-        )
-    return tau
 
 
 def _solve(

@@ -1,4 +1,6 @@
-"""Package-wide exception types."""
+"""Package-wide exception types and the input checks every layer shares."""
+
+import math
 
 __all__ = ["SelfCheckError"]
 
@@ -11,3 +13,42 @@ class SelfCheckError(RuntimeError):
     residual bounds, certified bracketing).  Indicates a defect, not bad
     user input.
     """
+
+
+def _validate_count(value, name: str, lo: int, hi: int) -> int:
+    """``value`` as an int, refused unless an integral number in lo..hi.
+
+    int() truncates 2.5 to 2, so only an int() that equals the value passes.
+    """
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = math.nan  # equal to nothing, itself included
+    if count == value and lo <= count <= hi:
+        return count
+    raise ValueError(f"{name} must be in {lo}..{hi}, got {value!r}")
+
+
+def _validate_positive(value: float, name: str) -> float:
+    """``value`` as a float, refused unless finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _validate_nonnegative(value: float, name: str) -> float:
+    """``value`` as a float, refused unless finite and >= 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def _validate_tau(tau: float) -> float:
+    tau = _validate_positive(tau, "relaxation time tau")
+    if not math.isfinite(1.0 / tau):
+        raise ValueError(
+            f"relaxation time tau = {tau!r} is too small: 1/tau overflows"
+        )
+    return tau

@@ -40,7 +40,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .dispersion import _validate_nonnegative, _validate_positive, _validate_tau
+from .errors import (
+    _validate_count,
+    _validate_nonnegative,
+    _validate_positive,
+    _validate_tau,
+)
 
 __all__ = [
     "DecayResult",
@@ -60,9 +65,8 @@ __all__ = [
 #: at most 4000 x 256, about 1e6.
 _MAX_STEP_NODES = 2**24
 
-#: Velocity grid sizes the kinetic layer accepts.
-_MIN_VELOCITIES = 2
-_MAX_VELOCITIES = 256
+#: Velocity grid sizes the kinetic layer accepts, as ``_validate_count`` arguments.
+_VELOCITY_COUNT = ("velocity grid size", 2, 256)
 
 
 class VelocityGrid(NamedTuple):
@@ -115,16 +119,6 @@ class DecayResult(NamedTuple):
     method: str
 
 
-def _validate_velocities(q: int) -> int:
-    q = int(q)
-    if not _MIN_VELOCITIES <= q <= _MAX_VELOCITIES:
-        raise ValueError(
-            f"velocity grid size must be in {_MIN_VELOCITIES}..{_MAX_VELOCITIES}, "
-            f"got {q!r}"
-        )
-    return q
-
-
 def _validate_dt(dt: float, t_end: float) -> float:
     dt = float(dt)
     if not (math.isfinite(dt) and 0.0 < dt <= t_end):
@@ -139,7 +133,7 @@ def gauss_hermite_grid(q: int) -> VelocityGrid:
     Nodes and weights come from the physicists' Hermite rule rescaled to
     the weight exp(-v^2/2) / sqrt(2 pi): v = sqrt(2) x, omega = w / sqrt(pi).
     """
-    q = _validate_velocities(q)
+    q = _validate_count(q, *_VELOCITY_COUNT)
     import numpy as np
 
     x, w = np.polynomial.hermite.hermgauss(q)
@@ -261,9 +255,9 @@ def simulate_density(
     squaring of P.  ``method="expm"`` evaluates the exponential through
     the eigendecomposition of B, as the tables exp(lam t_a) and
     exp(lam t_(m b)), and keeps the real part of the result; it shares
-    no time-stepping error with RK4, and the two agree to ~1e-8.  More
-    than 2**24 steps x velocity nodes raises ValueError before anything
-    is allocated.
+    no time-stepping error with RK4, and the two agree to ~1e-8.  A
+    non-finite table raises ValueError, as do a last step past the double
+    range and, before any allocation, more than 2**24 steps x nodes.
     """
     import numpy as np
 
@@ -287,6 +281,8 @@ def simulate_density(
             f"{_MAX_STEP_NODES}: raise dt or lower t_end"
         )
     steps = max(1, math.ceil(ratio - 1e-12))
+    if not math.isfinite(steps * dt):
+        raise ValueError(f"{steps} steps of dt = {dt!r} end past the double range")
     times = np.linspace(0.0, steps * dt, steps + 1)
 
     m = 2
@@ -298,8 +294,11 @@ def simulate_density(
         lam, vectors = np.linalg.eig(op.matrix)
         amplitudes = np.linalg.solve(vectors, s)
         weights = vectors.T @ s  # row of s'^T V
-        head = np.exp(np.outer(times[:m], lam)) * (weights * amplitudes)
-        tail = np.exp(np.outer(times[::m], lam))
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = np.exp(np.outer(times[:m], lam)) * (weights * amplitudes)
+            tail = np.exp(np.outer(times[::m], lam))
+        if not (np.isfinite(head).all() and np.isfinite(tail).all()):
+            raise ValueError(f"t_end = {t_end!r} is too long: exp(lam t) is not finite")
     elif method == "rk4":
         with np.errstate(over="ignore", invalid="ignore"):
             y = (dt / 4.0) * op.matrix
@@ -349,6 +348,8 @@ def fit_decay_rate(times, density, fit_start: float | None = None) -> float:
             f"fit window starting at {fit_start!r} spans fewer than 2 distinct times"
         )
     magnitude = np.abs(density[window])
+    if not np.all(np.isfinite(magnitude)):
+        raise ValueError("density trace is not finite inside the fit window")
     if not np.all(magnitude > 0.0):
         raise ValueError("density trace vanishes inside the fit window")
     span = float(t[-1] - t[0])  # fit on [0, 1]: polyfit's sqrt(sum t^2) underflows

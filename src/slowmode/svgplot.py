@@ -100,12 +100,8 @@ def comparison_svg(
     xs = list(x)
     if not xs:
         raise ValueError("comparison figure needs at least one grid point")
-    frame = _Frame(
-        x0=min(min(xs), 0.0),
-        x1=max(max(xs), critical_x),
-        y0=y_window[0],
-        y1=y_window[1],
-    )
+    critical_x = float(critical_x)
+    frame = _Frame(min(min(xs), 0.0), max(max(xs), critical_x), *y_window)
     parts = _figure_head(frame, "scaled wave number x", "scaled decay rate", critical_x)
     parts.append(_curve_path(frame, xs, exact, "#000000", None))
     legend_y = frame.margin + 16
@@ -115,9 +111,7 @@ def comparison_svg(
     )
     for i, order in enumerate(sorted(truncations)):
         color = _PALETTE[i % len(_PALETTE)]
-        parts.append(
-            _curve_path(frame, xs, truncations[order], color, "6,3")
-        )
+        parts.append(_curve_path(frame, xs, truncations[order], color, "6,3"))
         legend_y += 16
         parts.append(
             f'<text x="{_fmt(frame.width - frame.margin - 5)}" y="{_fmt(legend_y)}"'
@@ -140,6 +134,8 @@ def spectrum_svg(
     eigs = [complex(e) for e in eigenvalues]
     if not eigs:
         raise ValueError("spectrum figure needs at least one eigenvalue")
+    essential_rate = float(essential_rate)
+    hydrodynamic = None if hydrodynamic is None else complex(hydrodynamic)
     res = [e.real for e in eigs]
     ims = [e.imag for e in eigs]
     pad_x = 0.1 * max(max(res) - min(res), 0.1)

@@ -24,9 +24,9 @@ import math
 import sys
 from typing import NamedTuple
 
-from .ceseries import CeSeries, ce_coefficients
-from .dispersion import CRITICAL_COUPLING, _solve, _validate_nonnegative
-from .errors import SelfCheckError
+from .ceseries import MAX_ORDER, CeSeries, ce_coefficients
+from .dispersion import CRITICAL_COUPLING, _solve
+from .errors import SelfCheckError, _validate_count, _validate_nonnegative
 
 __all__ = [
     "TruncationComparison",
@@ -72,12 +72,7 @@ class TruncationComparison(NamedTuple):
 
 def _float_coefficients(series: CeSeries, order: int) -> tuple[float, ...]:
     """c_1..c_order as floats, converted once per order after checking it."""
-    order = int(order)
-    if not 1 <= order <= series.order:
-        raise ValueError(
-            f"truncation order must be in 1..{series.order} "
-            f"(the series length), got {order!r}"
-        )
+    order = _validate_count(order, "truncation order", 1, series.order)
     try:
         return tuple(float(c) for c in series.coefficients[:order])
     except OverflowError:
@@ -185,7 +180,9 @@ def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> Trunca
     Grid points where the exact branch does not exist (supercritical,
     x >= sqrt(pi/2)) are excluded; the branch core decides which.
     """
-    orders = tuple(sorted(set(int(n) for n in orders)))
+    limit = MAX_ORDER if series is None else series.order
+    counts = {_validate_count(n, "truncation order", 1, limit) for n in orders}
+    orders = tuple(sorted(counts))
     if not orders:
         raise ValueError("at least one truncation order is required")
     if series is None:

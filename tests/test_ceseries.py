@@ -12,6 +12,7 @@ from slowmode import (
     gaussian_moment_series,
     scaled_eigenvalue,
 )
+from slowmode.ceseries import MAX_ORDER
 
 from conftest import (
     branch_series_by_newton,
@@ -82,8 +83,9 @@ class TestGaussianMoments:
             assert value == pytest.approx(gaussian_moment_series(m)[m], rel=1e-12)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gaussian_moment_series(-1)
+        for n in (-1, 2.5, MAX_ORDER + 1):
+            with pytest.raises(ValueError, match="moment count must be in 0..200"):
+                gaussian_moment_series(n)
 
 
 class TestRecurrence:
@@ -91,8 +93,8 @@ class TestRecurrence:
         assert a000699(12) == MAGNITUDES_12
 
     def test_rejects_bad_order(self):
-        for order in (0, -1, 201):
-            with pytest.raises(ValueError):
+        for order in (0, -1, 201, 3.9):
+            with pytest.raises(ValueError, match="order must be in 1..200"):
                 a000699(order)
 
 
@@ -159,8 +161,8 @@ class TestCeCoefficients:
             assert abs(exact - t) <= 10.0 * x ** (2 * order + 2)
 
     def test_rejects_bad_order(self):
-        for order in (0, -2, 201):
-            with pytest.raises(ValueError):
+        for order in (0, -2, 201, 2.5, math.inf):
+            with pytest.raises(ValueError, match="order must be in 1..200"):
                 ce_coefficients(order)
 
 

@@ -56,9 +56,9 @@ class TestGaussHermiteGrid:
                 0.0, abs=1e-12
             )
 
-    @pytest.mark.parametrize("q", [1, 0, -3, 257])
+    @pytest.mark.parametrize("q", [1, 0, -3, 257, 2.5, math.inf])
     def test_rejects_bad_size(self, q):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="velocity grid size must be in 2..256"):
             gauss_hermite_grid(q)
 
 
@@ -369,6 +369,15 @@ class TestSimulateDensity:
             simulate_density(op, t_end=1e-3)
         with pytest.raises(ValueError):
             simulate_density(op, method="euler")
+        # Near the double range: the last step overflows, or exp(lam t)
+        # does; both are refused, not warned about.
+        small = build_operator(2.0, 1.0, gauss_hermite_grid(4))
+        t_max = 1.7976931348623157e308
+        for method in ("rk4", "expm"):
+            with pytest.raises(ValueError, match="end past the double range"):
+                simulate_density(small, t_end=t_max, dt=1e308, method=method)
+        with pytest.raises(ValueError, match=r"exp\(lam t\) is not finite"):
+            simulate_density(small, t_end=1e308, dt=1e307, method="expm")
 
     def test_decay_fit_refuses_a_one_step_trace(self, grid64):
         op = build_operator(0.5, 1.0, grid64)
@@ -404,6 +413,12 @@ class TestFitDecayRate:
             fit_decay_rate([0.0, 1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             fit_decay_rate([0.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="vanishes"):
+            fit_decay_rate([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="not finite"):
+            fit_decay_rate([0.0, 1.0, 2.0], [1.0, math.inf, 1.0])
+        with pytest.raises(ValueError, match="not finite"):
+            fit_decay_rate([0.0, 1.0, 2.0], [1.0, 0.5, math.nan])
         with pytest.raises(ValueError):
             fit_decay_rate([0.0, 1.0], [1.0, 1.0], fit_start=0.9)
         with pytest.raises(ValueError, match="distinct times"):

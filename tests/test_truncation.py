@@ -62,6 +62,10 @@ class TestEvalTruncation:
             eval_truncation(series10, 11, 0.5)
         with pytest.raises(ValueError):
             eval_truncation(series10, 2, math.nan)
+        with pytest.raises(ValueError, match="truncation order must be in 1..10"):
+            eval_truncation(series10, 2.5, 0.5)
+        with pytest.raises(ValueError, match="truncation order must be in 1..10"):
+            classify_stability(series10, 2.5)
 
     def test_rejects_order_beyond_double_range(self):
         # c_151 is the first coefficient no double can hold; c_150 is
@@ -227,3 +231,6 @@ class TestCompareToExact:
             compare_to_exact([-0.1], [1], series=series10)
         with pytest.raises(ValueError):
             compare_to_exact([0.1], [11], series=series10)
+        for order in (2.5, math.inf):
+            with pytest.raises(ValueError, match="truncation order must be in 1..200"):
+                compare_to_exact([0.3], [order])
