@@ -39,12 +39,11 @@ from .dispersion import (
 from .errors import (
     SelfCheckError,
     _validate_count,
+    _validate_dt,
     _validate_nonnegative,
     _validate_positive,
 )
 from .kinetic import (
-    _VELOCITY_COUNT,
-    _validate_dt,
     build_operator,
     gauss_hermite_grid,
     operator_spectrum,
@@ -251,7 +250,7 @@ def cmd_compare(args) -> int:
     orders = _parse_orders(args.orders)
     x_grid = _wave_grid(0.0, CRITICAL_COUPLING, args.points, tau)
     series = ce_coefficients(orders[-1])
-    comparison = compare_to_exact(x_grid, orders, series=series)
+    comparison = compare_to_exact(x_grid, orders, series)
     reports = [classify_stability(series, order) for order in orders]
     for report in reports:
         if report.precedes_criticality is False:
@@ -325,7 +324,6 @@ def cmd_compare(args) -> int:
 def cmd_simulate(args) -> int:
     tau = _validate_positive(args.tau, "--tau")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
-    _validate_count(args.velocities, *_VELOCITY_COUNT)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
     t_end = _validate_positive(t_end, "t_end")
     if args.dt is not None:
@@ -373,7 +371,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     tau = _validate_positive(args.tau, "--tau")
-    _validate_count(args.velocities, *_VELOCITY_COUNT)
     k = _validate_nonnegative(args.k, "wave number k")
     if args.gap_threshold is not None:
         _validate_positive(args.gap_threshold, "gap threshold")

@@ -26,7 +26,11 @@ def _validate_count(value, name: str, lo: int, hi: int) -> int:
         count = math.nan  # equal to nothing, itself included
     if count == value and lo <= count <= hi:
         return count
-    raise ValueError(f"{name} must be in {lo}..{hi}, got {value!r}")
+    try:
+        shown = repr(value)
+    except ValueError:  # an int past CPython's digit limit for str()
+        shown = "a number too large to print"
+    raise ValueError(f"{name} must be in {lo}..{hi}, got {shown}")
 
 
 def _validate_positive(value: float, name: str) -> float:
@@ -43,6 +47,14 @@ def _validate_nonnegative(value: float, name: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
+
+
+def _validate_dt(dt: float, t_end: float) -> float:
+    """``dt`` as a float, refused unless finite and in (0, t_end]."""
+    dt = float(dt)
+    if not (math.isfinite(dt) and 0.0 < dt <= t_end):
+        raise ValueError(f"dt must be in (0, t_end], got {dt!r}")
+    return dt
 
 
 def _validate_tau(tau: float) -> float:

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from .errors import (
     _validate_count,
+    _validate_dt,
     _validate_nonnegative,
     _validate_positive,
     _validate_tau,
@@ -64,9 +65,6 @@ __all__ = [
 #: bounds the time and density arrays of the trace.  Default runs need
 #: at most 4000 x 256, about 1e6.
 _MAX_STEP_NODES = 2**24
-
-#: Velocity grid sizes the kinetic layer accepts, as ``_validate_count`` arguments.
-_VELOCITY_COUNT = ("velocity grid size", 2, 256)
 
 
 class VelocityGrid(NamedTuple):
@@ -119,13 +117,6 @@ class DecayResult(NamedTuple):
     method: str
 
 
-def _validate_dt(dt: float, t_end: float) -> float:
-    dt = float(dt)
-    if not (math.isfinite(dt) and 0.0 < dt <= t_end):
-        raise ValueError(f"dt must be in (0, t_end], got {dt!r}")
-    return dt
-
-
 def gauss_hermite_grid(q: int) -> VelocityGrid:
     """Gauss-Hermite grid with q nodes, exact for unit-Gaussian moments
     of degree < 2q.
@@ -133,7 +124,7 @@ def gauss_hermite_grid(q: int) -> VelocityGrid:
     Nodes and weights come from the physicists' Hermite rule rescaled to
     the weight exp(-v^2/2) / sqrt(2 pi): v = sqrt(2) x, omega = w / sqrt(pi).
     """
-    q = _validate_count(q, *_VELOCITY_COUNT)
+    q = _validate_count(q, "velocity grid size", 2, 256)
     import numpy as np
 
     x, w = np.polynomial.hermite.hermgauss(q)
@@ -254,10 +245,11 @@ def simulate_density(
     rounding does not compound as it does under plain repeated
     squaring of P.  ``method="expm"`` evaluates the exponential through
     the eigendecomposition of B, as the tables exp(lam t_a) and
-    exp(lam t_(m b)), and keeps the real part of the result; it shares
-    no time-stepping error with RK4, and the two agree to ~1e-8.  A
-    non-finite table raises ValueError, as do a last step past the double
-    range and, before any allocation, more than 2**24 steps x nodes.
+    exp(lam t_(m b)) with Re lam clamped to <= 0, and keeps the real
+    part of the result; it shares no time-stepping error with RK4, and
+    the two agree to ~1e-8.  A non-finite table raises ValueError, as
+    do a last step past the double range and, before any allocation,
+    more than 2**24 steps x nodes.
     """
     import numpy as np
 
@@ -292,6 +284,9 @@ def simulate_density(
     s = op.density_vector
     if method == "expm":
         lam, vectors = np.linalg.eig(op.matrix)
+        # B's symmetric part is negative semidefinite, so Re lam <= 0; a
+        # positive real part is roundoff, which exp(lam t) would grow.
+        lam.real[lam.real > 0.0] = 0.0
         amplitudes = np.linalg.solve(vectors, s)
         weights = vectors.T @ s  # row of s'^T V
         with np.errstate(over="ignore", invalid="ignore"):

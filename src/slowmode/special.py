@@ -24,6 +24,8 @@ phi value, so one phi call buys a third-order step.
 
 import math
 
+from .errors import _validate_nonnegative
+
 __all__ = ["erfcx", "phi", "plasma_z"]
 
 _ISQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -32,16 +34,6 @@ _SQRT_HALF = math.sqrt(0.5)
 
 # ln(largest double); 2 exp(u) with u above this overflows.
 _EXP_LIMIT = 709.0
-
-
-def _validate_argument(y: float, name: str) -> float:
-    """The argument check of :func:`erfcx` and :func:`phi`."""
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"{name} argument must be finite, got {y!r}")
-    if y < 0.0:
-        raise ValueError(f"{name} argument must be >= 0, got {y!r}")
-    return y
 
 
 def _erfcx(y: float) -> float:
@@ -84,7 +76,7 @@ def erfcx(y: float) -> float:
         erfcx(y), strictly decreasing from erfcx(0) = 1 towards 0 with
         the tail behaviour erfcx(y) ~ 1 / (y sqrt(pi)).
     """
-    return _erfcx(_validate_argument(y, "erfcx"))
+    return _erfcx(_validate_nonnegative(y, "erfcx argument"))
 
 
 def _phi(y: float) -> float:
@@ -98,7 +90,7 @@ def phi(y: float) -> float:
     Strictly decreasing from phi(0) = sqrt(pi/2) to 0; the slow decay
     mode at scaled wave number x solves phi(y) = x.
     """
-    return _phi(_validate_argument(y, "phi"))
+    return _phi(_validate_nonnegative(y, "phi argument"))
 
 
 def solve_phi(c: float) -> tuple[float, float, int, float | None]:

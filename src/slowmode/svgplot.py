@@ -13,6 +13,9 @@ __all__ = ["comparison_svg", "spectrum_svg"]
 
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+#: Decay-rate window of the comparison figure.
+_Y_WINDOW = (-1.3, 0.3)
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
@@ -89,19 +92,20 @@ def comparison_svg(
     exact,
     truncations: dict[int, tuple],
     critical_x: float,
-    y_window: tuple[float, float] = (-1.3, 0.3),
 ) -> str:
     """Exact scaled branch (solid) versus truncations (dashed).
 
     Emits exactly one ``<path>`` per curve; truncation values that leave
-    ``y_window`` (they grow without bound past their sign change) break
+    ``_Y_WINDOW`` (they grow without bound past their sign change) break
     the corresponding path rather than distorting the frame.
     """
     xs = list(x)
     if not xs:
         raise ValueError("comparison figure needs at least one grid point")
     critical_x = float(critical_x)
-    frame = _Frame(min(min(xs), 0.0), max(max(xs), critical_x), *y_window)
+    if not math.isfinite(critical_x):
+        raise ValueError(f"critical_x must be finite, got {critical_x!r}")
+    frame = _Frame(min(min(xs), 0.0), max(max(xs), critical_x), *_Y_WINDOW)
     parts = _figure_head(frame, "scaled wave number x", "scaled decay rate", critical_x)
     parts.append(_curve_path(frame, xs, exact, "#000000", None))
     legend_y = frame.margin + 16
@@ -136,6 +140,9 @@ def spectrum_svg(
         raise ValueError("spectrum figure needs at least one eigenvalue")
     essential_rate = float(essential_rate)
     hydrodynamic = None if hydrodynamic is None else complex(hydrodynamic)
+    for name, value in (("essential_rate", essential_rate), ("hydrodynamic", hydrodynamic)):
+        if value is not None and not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     res = [e.real for e in eigs]
     ims = [e.imag for e in eigs]
     pad_x = 0.1 * max(max(res) - min(res), 0.1)

@@ -24,7 +24,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .ceseries import MAX_ORDER, CeSeries, ce_coefficients
+from .ceseries import CeSeries
 from .dispersion import CRITICAL_COUPLING, _solve
 from .errors import SelfCheckError, _validate_count, _validate_nonnegative
 
@@ -174,19 +174,16 @@ def classify_stability(series: CeSeries, order: int) -> TruncationReport:
     )
 
 
-def compare_to_exact(x_values, orders, series: CeSeries | None = None) -> TruncationComparison:
-    """Tabulate truncations against the exact scaled branch.
+def compare_to_exact(x_values, orders, series: CeSeries) -> TruncationComparison:
+    """Tabulate the truncations of ``series`` against the exact scaled branch.
 
     Grid points where the exact branch does not exist (supercritical,
     x >= sqrt(pi/2)) are excluded; the branch core decides which.
     """
-    limit = MAX_ORDER if series is None else series.order
-    counts = {_validate_count(n, "truncation order", 1, limit) for n in orders}
+    counts = {_validate_count(n, "truncation order", 1, series.order) for n in orders}
     orders = tuple(sorted(counts))
     if not orders:
         raise ValueError("at least one truncation order is required")
-    if series is None:
-        series = ce_coefficients(orders[-1])
     coefficients = {order: _float_coefficients(series, order) for order in orders}
 
     kept: list[float] = []

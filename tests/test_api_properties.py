@@ -108,7 +108,6 @@ PARAMETERS = {
     "eigenvalues": st.lists(
         st.sampled_from([0.0, -0.2, -1.0 + 0.5j, -1.0 - 0.5j]), min_size=1, max_size=4
     ),
-    "y_window": st.sampled_from([(-1.3, 0.3), (-2.0, 1.0)]),
 }
 #: Parameters that are only valid together, built at once.
 JOINT = {"fit_decay_rate": decay_traces(), "comparison_svg": comparison_data()}

@@ -687,6 +687,15 @@ class TestSvgWriters:
         with pytest.raises(ValueError):
             spectrum_svg([], -1.0, None)
 
+    def test_writers_refuse_non_finite_markers(self):
+        # A non-finite marker would be written into the figure as "nan".
+        with pytest.raises(ValueError, match="critical_x must be finite, got nan"):
+            comparison_svg([0.1, 0.5], [-0.01, -0.2], {}, math.nan)
+        with pytest.raises(ValueError, match="essential_rate must be finite, got nan"):
+            spectrum_svg([-0.2, -1 + 0.5j], math.nan, None)
+        with pytest.raises(ValueError, match="hydrodynamic must be finite"):
+            spectrum_svg([-0.2, -1 + 0.5j], -1.0, complex(math.inf, 0.0))
+
     def test_spectrum_marks_hydrodynamic(self):
         eigs = [complex(-0.2, 0.0), complex(-1.0, 0.4), complex(-1.0, -0.4)]
         text = spectrum_svg(eigs, -1.0, complex(-0.2, 0.0))

@@ -379,6 +379,16 @@ class TestSimulateDensity:
         with pytest.raises(ValueError, match=r"exp\(lam t\) is not finite"):
             simulate_density(small, t_end=1e308, dt=1e307, method="expm")
 
+    @pytest.mark.parametrize("q", [4, 16, 64])
+    def test_expm_conserves_density_at_long_horizons(self, q):
+        # At k = 0 the density is conserved.  The eigensolver returns the
+        # conserved mode's eigenvalue as roundoff of either sign; left
+        # unclamped, a real part of +2.2e-16 grows the trace to 1.249 at
+        # t = 1e15.
+        op = build_operator(0.0, 0.5, gauss_hermite_grid(q))
+        _, density = simulate_density(op, t_end=1e15, dt=1e14, method="expm")
+        assert np.max(np.abs(density - 1.0)) <= 1e-12
+
     def test_decay_fit_refuses_a_one_step_trace(self, grid64):
         op = build_operator(0.5, 1.0, grid64)
         assert simulate_density(op, t_end=1.0, dt=1.0, method="expm")[0].size == 2

@@ -232,5 +232,5 @@ class TestCompareToExact:
         with pytest.raises(ValueError):
             compare_to_exact([0.1], [11], series=series10)
         for order in (2.5, math.inf):
-            with pytest.raises(ValueError, match="truncation order must be in 1..200"):
-                compare_to_exact([0.3], [order])
+            with pytest.raises(ValueError, match="truncation order must be in 1..10"):
+                compare_to_exact([0.3], [order], series=series10)
