@@ -19,12 +19,12 @@ Re = -1/tau and the relation has no root.
 The branch obeys the scaling law  tau lambda_d(k, tau) = F(tau k)  for a
 single universal function F, exposed here as :func:`scaled_eigenvalue`.
 
-Each entry point decides the domain (origin, subnormal, supercritical x)
-through one private core, which takes y from the Halley loop of
-:func:`slowmode.special.solve_phi` inside the closed-form bracket
-1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x).  :func:`branch_point` reuses
-the solver's phi(y) for its residual |Z(iy) - i tau k| = |phi(y) - tau k|
-when the loop already evaluated it, and evaluates phi(y) only otherwise.
+:func:`branch_point` is the one branch solve, which every other entry
+point calls: it decides the domain (origin, subnormal, supercritical x),
+takes y from the Halley loop of :func:`slowmode.special.solve_phi` inside
+the closed-form bracket 1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x), and
+self-checks the residual |Z(iy) - i tau k| = |phi(y) - tau k|, reusing
+the solver's phi(y) when the loop already evaluated it.
 """
 
 import math
@@ -32,7 +32,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import SelfCheckError, _validate_nonnegative, _validate_tau
-from .special import _phi, solve_phi
+from .special import phi, solve_phi
 
 __all__ = [
     "CRITICAL_COUPLING",
@@ -87,29 +87,6 @@ class BranchTable(NamedTuple):
     excluded: list[float]
 
 
-def _solve(
-    x: float, tau: float = 1.0
-) -> tuple[float, float | None, float, int, float | None] | None:
-    """The branch at x = tau k >= 0, the one place its domain is decided.
-
-    ``(eigenvalue, y, bracket_width, iterations, phi_y)``, y = None at the
-    origin and phi_y = phi(y) when the solver already evaluated it, else
-    None; None when supercritical; ValueError for a subnormal x, where the
-    bracket 1/x - x of :func:`solve_phi` overflows.
-    """
-    if x == 0.0:  # k = 0, or tau*k underflowed: F(x) = -x^2 + ... rounds to 0
-        return 0.0, None, 0.0, 0, None
-    if x < sys.float_info.min:
-        raise ValueError(
-            f"scaled wave number tau*k = {x!r} is subnormal (below "
-            f"{sys.float_info.min!r}); increase k or tau"
-        )
-    if x >= CRITICAL_COUPLING:
-        return None
-    y, width, iterations, phi_y = solve_phi(x)
-    return (x * y - 1.0) / tau, y, width, iterations, phi_y
-
-
 def critical_wave_number(tau: float) -> float:
     """Largest wave number carrying an isolated slow mode: sqrt(pi/2)/tau."""
     tau = _validate_tau(tau)
@@ -124,13 +101,13 @@ def scaled_eigenvalue(x: float) -> float:
     isolated mode exists.
     """
     x = _validate_nonnegative(x, "scaled wave number")
-    solved = _solve(x)
-    if solved is None:
+    point = branch_point(x)
+    if point is None:
         raise ValueError(
             f"supercritical scaled wave number {x!r}: no isolated slow mode "
             f"for tau*k >= sqrt(pi/2) = {CRITICAL_COUPLING!r}"
         )
-    return solved[0]
+    return point.eigenvalue
 
 
 def solve_diffusion_mode(k: float, tau: float = 1.0) -> float | None:
@@ -139,27 +116,33 @@ def solve_diffusion_mode(k: float, tau: float = 1.0) -> float | None:
     Returns 0.0 at k = 0 (mass conservation), a value in (-1/tau, 0) for
     0 < tau k < sqrt(pi/2), and None for tau k >= sqrt(pi/2).
     """
-    k = _validate_nonnegative(k, "wave number k")
-    tau = _validate_tau(tau)
-    solved = _solve(tau * k, tau)
-    return None if solved is None else solved[0]
+    point = branch_point(k, tau)
+    return None if point is None else point.eigenvalue
 
 
 def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
-    """Solve one branch point with solver diagnostics, or None if supercritical."""
+    """Solve one branch point with solver diagnostics, or None if supercritical.
+
+    ValueError for a subnormal tau*k, where the bracket 1/x - x of
+    :func:`solve_phi` overflows; SelfCheckError when the residual
+    exceeds its bound.
+    """
     k = _validate_nonnegative(k, "wave number k")
     tau = _validate_tau(tau)
     x = tau * k
-    solved = _solve(x, tau)
-    if solved is None:
+    if x == 0.0:  # k = 0, or tau*k underflowed: F(x) = -x^2 + ... rounds to 0
+        return BranchPoint(k, tau, 0.0, 0.0, False, 0.0, 0)
+    if x < sys.float_info.min:
+        raise ValueError(
+            f"scaled wave number tau*k = {x!r} is subnormal (below "
+            f"{sys.float_info.min!r}); increase k or tau"
+        )
+    if x >= CRITICAL_COUPLING:
         return None
-    eigenvalue, y, width, iterations, phi_y = solved
-    if y is None:
-        residual = 0.0
-    else:
-        # Z(iy) = i phi(y) for y >= 0, so |phi(y) - x| is the residual
-        # |Z(iy) - i x| bit for bit.
-        residual = abs((_phi(y) if phi_y is None else phi_y) - x)
+    y, width, iterations, phi_y = solve_phi(x)
+    # Z(iy) = i phi(y) for y >= 0, so |phi(y) - x| is the residual
+    # |Z(iy) - i x| bit for bit.
+    residual = abs((phi(y) if phi_y is None else phi_y) - x)
     if residual > _RESIDUAL_LIMIT:
         raise SelfCheckError(
             f"dispersion solve at k={k!r}, tau={tau!r} left residual "
@@ -168,7 +151,7 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
     return BranchPoint(
         k=k,
         tau=tau,
-        eigenvalue=eigenvalue,
+        eigenvalue=(x * y - 1.0) / tau,
         residual=residual,
         near_critical=(CRITICAL_COUPLING - x <= NEAR_CRITICAL_WINDOW),
         bracket_width=width,

@@ -21,6 +21,14 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _require_finite(name: str, values) -> None:
+    """Refuse the first of ``values`` whose real or imaginary part is not
+    finite: it would be written into the figure as "nan" or "inf"."""
+    for value in values:
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class _Frame(NamedTuple):
     """Affine map from data coordinates to a margined viewport."""
 
@@ -96,15 +104,16 @@ def comparison_svg(
     """Exact scaled branch (solid) versus truncations (dashed).
 
     Emits exactly one ``<path>`` per curve; truncation values that leave
-    ``_Y_WINDOW`` (they grow without bound past their sign change) break
-    the corresponding path rather than distorting the frame.
+    ``_Y_WINDOW`` (they grow without bound past their sign change) or are
+    not finite break the corresponding path rather than distorting the
+    frame.  A non-finite entry of ``x`` or ``critical_x`` raises ValueError.
     """
     xs = list(x)
     if not xs:
         raise ValueError("comparison figure needs at least one grid point")
     critical_x = float(critical_x)
-    if not math.isfinite(critical_x):
-        raise ValueError(f"critical_x must be finite, got {critical_x!r}")
+    _require_finite("critical_x", [critical_x])
+    _require_finite("x", xs)
     frame = _Frame(min(min(xs), 0.0), max(max(xs), critical_x), *_Y_WINDOW)
     parts = _figure_head(frame, "scaled wave number x", "scaled decay rate", critical_x)
     parts.append(_curve_path(frame, xs, exact, "#000000", None))
@@ -134,15 +143,17 @@ def spectrum_svg(
 
     The continuum line Re = essential_rate is marked dashed; the
     isolated slow eigenvalue, when present, is drawn as a filled marker.
+    A non-finite eigenvalue or marker raises ValueError.
     """
     eigs = [complex(e) for e in eigenvalues]
     if not eigs:
         raise ValueError("spectrum figure needs at least one eigenvalue")
     essential_rate = float(essential_rate)
     hydrodynamic = None if hydrodynamic is None else complex(hydrodynamic)
-    for name, value in (("essential_rate", essential_rate), ("hydrodynamic", hydrodynamic)):
-        if value is not None and not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _require_finite("essential_rate", [essential_rate])
+    if hydrodynamic is not None:
+        _require_finite("hydrodynamic", [hydrodynamic])
+    _require_finite("eigenvalues", eigs)
     res = [e.real for e in eigs]
     ims = [e.imag for e in eigs]
     pad_x = 0.1 * max(max(res) - min(res), 0.1)

@@ -25,7 +25,7 @@ import sys
 from typing import NamedTuple
 
 from .ceseries import CeSeries
-from .dispersion import CRITICAL_COUPLING, _solve
+from .dispersion import CRITICAL_COUPLING, branch_point
 from .errors import SelfCheckError, _validate_count, _validate_nonnegative
 
 __all__ = [
@@ -178,7 +178,7 @@ def compare_to_exact(x_values, orders, series: CeSeries) -> TruncationComparison
     """Tabulate the truncations of ``series`` against the exact scaled branch.
 
     Grid points where the exact branch does not exist (supercritical,
-    x >= sqrt(pi/2)) are excluded; the branch core decides which.
+    x >= sqrt(pi/2)) are excluded; :func:`branch_point` decides which.
     """
     counts = {_validate_count(n, "truncation order", 1, series.order) for n in orders}
     orders = tuple(sorted(counts))
@@ -191,12 +191,12 @@ def compare_to_exact(x_values, orders, series: CeSeries) -> TruncationComparison
     excluded: list[float] = []
     for x in x_values:
         x = _validate_nonnegative(x, "scaled wave number")
-        solved = _solve(x)
-        if solved is None:
+        point = branch_point(x)
+        if point is None:
             excluded.append(x)
         else:
             kept.append(x)
-            exact.append(solved[0])
+            exact.append(point.eigenvalue)
 
     truncations = {
         order: tuple(_eval_truncation(coefficients[order], x) for x in kept)

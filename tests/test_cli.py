@@ -696,6 +696,18 @@ class TestSvgWriters:
         with pytest.raises(ValueError, match="hydrodynamic must be finite"):
             spectrum_svg([-0.2, -1 + 0.5j], -1.0, complex(math.inf, 0.0))
 
+    def test_writers_refuse_non_finite_data_points(self):
+        # A non-finite grid point or eigenvalue would be written into the
+        # figure as "nan" or "inf"; a non-finite y value only lifts the pen.
+        with pytest.raises(ValueError, match="x must be finite, got inf"):
+            comparison_svg([0.1, math.inf], [-0.01, -0.2], {}, 1.25)
+        with pytest.raises(ValueError, match=r"eigenvalues must be finite, got \(nan\+0j\)"):
+            spectrum_svg([-0.2, complex(math.nan, 0)], -1.0, None)
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            spectrum_svg([-0.2, complex(-1.0, math.inf)], -1.0, None)
+        text = comparison_svg([0.1, 0.5, 0.9], [-0.01, math.nan, -0.5], {}, 1.25)
+        assert "nan" not in text and text.splitlines()[-3].count("M") == 2
+
     def test_spectrum_marks_hydrodynamic(self):
         eigs = [complex(-0.2, 0.0), complex(-1.0, 0.4), complex(-1.0, -0.4)]
         text = spectrum_svg(eigs, -1.0, complex(-0.2, 0.0))

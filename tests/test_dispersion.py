@@ -15,6 +15,8 @@ from slowmode import (
     CRITICAL_COUPLING,
     SelfCheckError,
     branch_point,
+    ce_coefficients,
+    compare_to_exact,
     critical_wave_number,
     plasma_z,
     sample_branch,
@@ -270,10 +272,23 @@ class TestBranchPoint:
             return y, width, passes, (slowmode.phi(y) if known else None)
 
         monkeypatch.setattr(dispersion, "solve_phi", off_root)
-        with pytest.raises(SelfCheckError, match="left residual"):
-            branch_point(0.5, 1.0)
-        assert cli.main(["branch", "--points", "3"]) == 4
-        assert "self-check failure" in capsys.readouterr().err
+        # Every caller of the branch solve gets the check; k = 0 is the
+        # origin and never reaches the solver, so each call uses k > 0.
+        for solve in (
+            lambda: branch_point(0.5, 1.0),
+            lambda: scaled_eigenvalue(0.5),
+            lambda: solve_diffusion_mode(0.5),
+            lambda: compare_to_exact([0.5], [1], ce_coefficients(1)),
+        ):
+            with pytest.raises(SelfCheckError, match="left residual"):
+                solve()
+        for argv in (
+            ["branch", "--points", "3"],
+            ["compare", "--points", "3"],
+            ["simulate", "--points", "1", "--kmin", "0.5", "--velocities", "8"],
+        ):
+            assert cli.main(argv) == 4, argv
+            assert "self-check failure" in capsys.readouterr().err, argv
 
     def test_near_critical_flag(self):
         assert branch_point(CRITICAL_COUPLING - 1e-9, 1.0).near_critical

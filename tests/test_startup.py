@@ -15,8 +15,14 @@ The result records are ``typing.NamedTuple`` classes, so no command
 imports :mod:`dataclasses` or the :mod:`inspect` it pulls in; the record
 test pins their fields and the immutability they had as frozen
 dataclasses.
+
+Layering: a ``_``-prefixed name stays inside its module.  Only the
+input checks that every layer shares cross a module boundary, and they
+live in :mod:`slowmode.errors`.
 """
 
+import ast
+import pathlib
 import textwrap
 
 import pytest
@@ -217,3 +223,16 @@ def test_record_fields_and_immutability(record):
 
 def test_frame_defaults():
     assert svgplot._Frame._field_defaults == {"width": 640, "height": 440, "margin": 50}
+
+
+def test_private_names_stay_in_their_module():
+    package = pathlib.Path(dispersion.__file__).parent
+    crossings = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module != "errors"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert crossings == []
