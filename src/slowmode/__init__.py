@@ -19,33 +19,38 @@ df/dt + v df/dx = (rho M - f)/tau around a global Gaussian equilibrium:
   comparison views.
 * :mod:`slowmode.cli` -- the ``slowmode`` command-line tool.
 
-Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
-its functions.  So ``import slowmode`` and the ``branch``, ``ce`` and
-``compare`` commands never load numpy; the first call of a kinetic
-function that builds an array does.
+Layers load on first use.  ``import slowmode`` binds only
+``__version__``; reading a module imports it, and reading a public name
+imports the layers in turn until one declares it.  ``__all__`` and
+``dir(slowmode)`` import them all.  So a command loads only the layers
+it runs.  Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy
+inside its functions, so the ``branch``, ``ce`` and ``compare`` commands
+never load numpy; the first call of a kinetic function that builds an
+array does.
 """
 
-from .ceseries import *
-from .dispersion import *
-from .errors import *
-from .kinetic import *
-from .special import *
-from .svgplot import *
-from .truncation import *
+import importlib
 
 __version__ = "0.1.0"
 
-# Each layer declares its public names once, in its own ``__all__``;
-# ``from .<layer> import *`` also binds the layer module itself here.
-__all__ = sorted(
-    [
-        "__version__",
-        *ceseries.__all__,
-        *dispersion.__all__,
-        *errors.__all__,
-        *kinetic.__all__,
-        *special.__all__,
-        *svgplot.__all__,
-        *truncation.__all__,
-    ]
-)
+_LAYERS = ("ceseries", "dispersion", "errors", "kinetic", "special", "svgplot", "truncation")
+
+
+def __getattr__(name):
+    """A module, ``__all__`` or a public name, importing what it needs.
+
+    Each layer declares its public names once, in its own ``__all__``.
+    """
+    if name in _LAYERS or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        names = (n for layer in map(__getattr__, _LAYERS) for n in layer.__all__)
+        return sorted(["__version__", *names])
+    for layer in map(__getattr__, _LAYERS):
+        if name in layer.__all__:
+            return getattr(layer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAYERS, *__getattr__("__all__")})

@@ -21,21 +21,12 @@ Exit codes: 0 success; 2 invalid usage or configuration; 3 I/O failure;
 
 import argparse
 import contextlib
-import csv
-import json
-import logging
+import importlib
 import math
 import os
 import sys
 
 from . import __version__
-from .ceseries import a000699, ce_coefficients, divergence_diagnostics
-from .dispersion import (
-    CRITICAL_COUPLING,
-    critical_wave_number,
-    sample_branch,
-    solve_diffusion_mode,
-)
 from .errors import (
     SelfCheckError,
     _validate_count,
@@ -43,30 +34,52 @@ from .errors import (
     _validate_nonnegative,
     _validate_positive,
 )
-from .kinetic import (
-    build_operator,
-    gauss_hermite_grid,
-    operator_spectrum,
-    simulate_decay,
-)
-from .svgplot import comparison_svg, spectrum_svg
-from .truncation import classify_stability, compare_to_exact
-
-log = logging.getLogger("slowmode")
 
 #: Largest grid a command builds; larger ones are refused before allocation.
 MAX_POINTS = 10**6
 
+#: The names the commands call, by the layer that defines them.
+_LAYER_NAMES = {
+    "ceseries": ("a000699", "ce_coefficients", "divergence_diagnostics"),
+    "dispersion": (
+        "CRITICAL_COUPLING", "critical_wave_number", "sample_branch", "solve_diffusion_mode"
+    ),
+    "kinetic": ("build_operator", "gauss_hermite_grid", "operator_spectrum", "simulate_decay"),
+    "svgplot": ("comparison_svg", "spectrum_svg"),
+    "truncation": ("classify_stability", "compare_to_exact"),
+}
 
-def _configure_logging() -> None:
-    """Log level comes from SLOWMODE_LOG_LEVEL (default WARNING)."""
-    name = os.environ.get("SLOWMODE_LOG_LEVEL", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
+
+def _load(*layers) -> None:
+    """Import ``layers`` and bind here the names the commands call from
+    them.  A name already bound here, say a wrapper installed from
+    outside, is kept."""
+    for layer in layers:
+        module = importlib.import_module(f"{__package__}.{layer}")
+        for name in _LAYER_NAMES[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    """A layer name read before any command has run binds its layer."""
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning to stderr at the level SLOWMODE_LOG_LEVEL names
+    (default WARNING).  Only a warning imports and configures logging."""
+    import logging
+
+    level = getattr(logging, os.environ.get("SLOWMODE_LOG_LEVEL", "WARNING").upper(), None)
+    level = level if isinstance(level, int) else logging.WARNING
     logging.basicConfig(
         stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s"
     )
+    logging.getLogger("slowmode").warning(message, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +100,8 @@ def _cell(value) -> str:
 
 def _write_csv(stream, sections) -> None:
     """Write ``sections = [(header, rows), ...]`` separated by blank lines."""
+    import csv
+
     writer = csv.writer(stream, lineterminator="\n")
     for index, (header, rows) in enumerate(sections):
         if index:
@@ -125,6 +140,8 @@ def _emit(args, payload, sections) -> None:
     document is built only when it is the format asked for."""
     with _open_out(args.out) as stream:
         if args.format == "json":
+            import json
+
             json.dump(payload(), stream, indent=2)
             stream.write("\n")
         else:
@@ -174,11 +191,12 @@ def _parse_orders(text: str) -> list[int]:
 
 
 def cmd_branch(args) -> int:
+    _load("dispersion")
     tau = _validate_positive(args.tau, "--tau")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
     table = sample_branch(tau, grid)
     if not table.points:
-        log.warning(
+        _warn(
             "no subcritical wave numbers in the requested grid "
             "(critical k = %r); emitting an empty table",
             table.critical_k,
@@ -205,6 +223,7 @@ def cmd_branch(args) -> int:
 
 
 def cmd_ce(args) -> int:
+    _load("ceseries")
     series = ce_coefficients(args.order)
     reference = a000699(args.order)
     diagnostics = divergence_diagnostics(series)
@@ -246,6 +265,7 @@ def cmd_ce(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _load("dispersion", "ceseries", "truncation")
     tau = _validate_positive(args.tau, "--tau")
     orders = _parse_orders(args.orders)
     x_grid = _wave_grid(0.0, CRITICAL_COUPLING, args.points, tau)
@@ -254,7 +274,7 @@ def cmd_compare(args) -> int:
     reports = [classify_stability(series, order) for order in orders]
     for report in reports:
         if report.precedes_criticality is False:
-            log.warning(
+            _warn(
                 "truncation order %d changes sign at x = %r, beyond the "
                 "critical point %r",
                 report.order,
@@ -309,6 +329,7 @@ def cmd_compare(args) -> int:
     ]
     _emit(args, payload, sections)
     if args.svg:
+        _load("svgplot")
         _write_svg(
             args.svg,
             comparison_svg(
@@ -322,6 +343,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _load("dispersion", "kinetic")
     tau = _validate_positive(args.tau, "--tau")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
@@ -370,6 +392,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _load("kinetic")
     tau = _validate_positive(args.tau, "--tau")
     k = _validate_nonnegative(args.k, "wave number k")
     if args.gap_threshold is not None:
@@ -401,6 +424,7 @@ def cmd_spectrum(args) -> int:
         [(header, rows), _summary_section(summary)],
     )
     if args.svg:
+        _load("svgplot")
         _write_svg(
             args.svg,
             spectrum_svg(
@@ -536,7 +560,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -114,8 +114,8 @@ JOINT = {"fit_decay_rate": decay_traces(), "comparison_svg": comparison_data()}
 
 FUNCTIONS = sorted(
     name
-    for name, value in vars(slowmode).items()
-    if name in slowmode.__all__ and callable(value) and not inspect.isclass(value)
+    for name in slowmode.__all__
+    if callable(value := getattr(slowmode, name)) and not inspect.isclass(value)
 )
 
 

@@ -4,13 +4,14 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from slowmode import a000699, cli, comparison_svg, critical_wave_number, spectrum_svg
 
-from conftest import csv_sections, run_cli, source_env
+from conftest import csv_sections, run_cli, run_python, source_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -528,6 +529,65 @@ def test_csv_builds_no_json_payload(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_columns", refuse)
     assert cli.main(argv) == 0
     assert csv_sections(capsys.readouterr().out)[0][0][0] in ("k", "x")
+
+
+#: A grid past the critical wave number: no branch point, one warning.
+EMPTY_BRANCH = ["branch", "--kmin", "2", "--kmax", "3", "--points", "3"]
+EMPTY_BRANCH_WARNING = (
+    "WARNING slowmode: no subcritical wave numbers in the requested grid "
+    "(critical k = 1.2533141373155001); emitting an empty table\n"
+)
+
+
+class TestLogging:
+    """Warnings go to stderr at the level SLOWMODE_LOG_LEVEL names."""
+
+    @staticmethod
+    def run_empty_branch(level):
+        env = source_env()
+        env.pop("SLOWMODE_LOG_LEVEL", None)
+        if level is not None:
+            env["SLOWMODE_LOG_LEVEL"] = level
+        return subprocess.run(
+            [sys.executable, "-m", "slowmode.cli", *EMPTY_BRANCH],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+
+    # An unknown level, or a logging attribute that is no level, falls
+    # back to WARNING.
+    @pytest.mark.parametrize("level", [None, "WARNING", "info", "NOPE", "BASIC_FORMAT"])
+    def test_warning_line(self, level):
+        result = self.run_empty_branch(level)
+        assert result.returncode == 0
+        assert result.stderr == EMPTY_BRANCH_WARNING
+        assert csv_sections(result.stdout)[0] == [
+            ["k", "tau_k", "eigenvalue", "residual", "near_critical"]
+        ]
+
+    @pytest.mark.parametrize("level", ["ERROR", "error", "CRITICAL"])
+    def test_higher_level_silences_the_warning(self, level):
+        result = self.run_empty_branch(level)
+        assert result.returncode == 0
+        assert result.stderr == ""
+
+    def test_each_in_process_call_warns_once(self):
+        script = f"""
+            import contextlib, io, logging, os
+            from slowmode.cli import main
+
+            os.environ.pop("SLOWMODE_LOG_LEVEL", None)
+
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main({EMPTY_BRANCH!r}) == 0
+            assert len(logging.getLogger().handlers) == 1
+        """
+        result = run_python(["-c", textwrap.dedent(script)])
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == EMPTY_BRANCH_WARNING * 2
 
 
 class TestErrorHandling:

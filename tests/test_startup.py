@@ -1,5 +1,14 @@
-"""Start-up stays light: numpy only in the kinetic layer's functions,
-and no dataclass machinery at all.
+"""Start-up stays light: each command loads only the layers it runs,
+numpy only in the kinetic layer's functions, and no dataclass machinery
+at all.
+
+Layers load on first use.  ``import slowmode`` binds only
+``__version__``, and ``import slowmode.cli`` adds only
+:mod:`slowmode.errors`; each command imports its own layers when it
+runs, :mod:`json` or :mod:`csv` only for the format asked for, and
+:mod:`logging` only to emit a warning.  The names a tracer wraps at
+``slowmode.cli`` are readable there before any command has run, and a
+name rebound from outside is the one the command calls.
 
 Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
 the functions that build arrays.  So ``import slowmode``, ``import
@@ -37,6 +46,49 @@ CHECKS = {
 
         assert "dataclasses" not in sys.modules
         assert "inspect" not in sys.modules
+    """,
+    "cli_import_loads_no_layer": """
+        import sys
+        import slowmode.cli
+
+        loaded = {name for name in sys.modules if name.startswith("slowmode.")}
+        assert loaded == {"slowmode.cli", "slowmode.errors"}, loaded
+        assert not {"logging", "json", "csv"} & set(sys.modules)
+    """,
+    "ce_loads_only_ceseries": """
+        import contextlib, io, sys
+        from slowmode.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ce", "--order", "5"]) == 0
+        loaded = {name for name in sys.modules if name.startswith("slowmode.")}
+        assert loaded == {"slowmode.ceseries", "slowmode.cli", "slowmode.errors"}, loaded
+    """,
+    "branch_csv_skips_other_layers": """
+        import contextlib, io, sys
+        from slowmode.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["branch", "--points", "3"]) == 0
+        skipped = {
+            "json",
+            "slowmode.ceseries",
+            "slowmode.truncation",
+            "slowmode.kinetic",
+            "slowmode.svgplot",
+        }
+        assert not skipped & set(sys.modules), skipped & set(sys.modules)
+        assert {"csv", "slowmode.dispersion"} <= set(sys.modules)
+    """,
+    "json_output_skips_csv": """
+        import contextlib, io, sys
+        from slowmode.cli import main
+
+        for argv in (["branch", "--points", "3"], ["ce", "--order", "5"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--format", "json"]) == 0, argv
+        assert "csv" not in sys.modules
+        assert "json" in sys.modules
     """,
     "light_commands_skip_numpy": """
         import contextlib, io, sys
@@ -117,36 +169,59 @@ CHECKS = {
         assert not missing, missing
     """,
     "cli_names_before_any_command": """
+        import slowmode
         import slowmode.cli as cli
-        import slowmode.kinetic as kinetic
 
-        for name in (
-            "build_operator",
-            "gauss_hermite_grid",
-            "operator_spectrum",
-            "simulate_decay",
-        ):
-            value = getattr(cli, name)
-            assert callable(value), name
-            assert value is getattr(kinetic, name), name
+        # Every name a tracer wraps at slowmode.cli, by its layer.
+        for layer, names in {
+            "ceseries": ("a000699", "ce_coefficients", "divergence_diagnostics"),
+            "dispersion": ("sample_branch", "solve_diffusion_mode"),
+            "kinetic": (
+                "build_operator",
+                "gauss_hermite_grid",
+                "operator_spectrum",
+                "simulate_decay",
+            ),
+            "svgplot": ("comparison_svg", "spectrum_svg"),
+            "truncation": ("classify_stability", "compare_to_exact"),
+        }.items():
+            for name in names:
+                value = getattr(cli, name)
+                assert callable(value), name
+                assert value is getattr(getattr(slowmode, layer), name), name
         assert getattr(cli, "backend", None) is None
     """,
     "cli_keeps_a_name_bound_from_outside": """
-        import contextlib, io
+        import contextlib, io, os, tempfile
         import slowmode.cli as cli
 
-        original = cli.build_operator
-        calls = []
+        svg = os.path.join(tempfile.mkdtemp(), "spectrum.svg")
+        # One command of each layer, with a name it calls through cli.
+        runs = {
+            "sample_branch": ["branch", "--points", "3"],
+            "ce_coefficients": ["ce", "--order", "5"],
+            "compare_to_exact": ["compare", "--points", "3"],
+            "build_operator": ["simulate", "--points", "1", "--velocities", "8"],
+            "spectrum_svg": ["spectrum", "--k", "0.5", "--velocities", "8", "--svg", svg],
+        }
+        calls = dict.fromkeys(runs, 0)
+        wrappers = {}
+        for name in runs:
+            original = getattr(cli, name)
 
-        def wrapped(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def wrapped(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        cli.build_operator = wrapped
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["simulate", "--points", "1", "--velocities", "8"]) == 0
-        assert len(calls) == 1
-        assert cli.build_operator is wrapped
+            wrappers[name] = wrapped
+            setattr(cli, name, wrapped)
+        for name, argv in runs.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            assert calls[name] == 1, (name, calls)
+            assert getattr(cli, name) is wrappers[name], name
+        with open(svg, encoding="utf-8") as fh:
+            assert fh.read(5) == "<?xml"
     """,
 }
 
