@@ -22,6 +22,7 @@ Exit codes: 0 success; 2 invalid usage or configuration; 3 I/O failure;
 import argparse
 import contextlib
 import importlib
+import itertools
 import math
 import os
 import sys
@@ -87,28 +88,71 @@ def _warn(message: str, *args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    """CSV cell rendering: None -> empty, bool -> true/false, floats via repr."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+#: Text of each cell type the commands emit: floats in ``repr``'s shortest
+#: round-trip form, booleans as true/false, None as an empty cell.
+_CELL_TEXT = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "",
+}
+
+#: Rows rendered per CSV block, encoder chunks joined per JSON piece, and
+#: the least characters per write.
+_BLOCK_ROWS = 1024
+_JSON_CHUNKS = 256
+_WRITE_CHARS = 1 << 16
 
 
-def _write_csv(stream, sections) -> None:
-    """Write ``sections = [(header, rows), ...]`` separated by blank lines."""
-    import csv
+def _csv_block(rows) -> str:
+    """``rows`` as CSV lines, each ending in a newline.  No cell holds a
+    comma, quote or line break, so none is quoted; like the ``csv``
+    module, a row of one empty cell is written ``""``."""
+    text = _CELL_TEXT
+    lines = [
+        ",".join([text[type(value)](value) for value in row]) or ('""' if row else "")
+        for row in rows
+    ]
+    lines.append("")
+    return "\n".join(lines)
 
-    writer = csv.writer(stream, lineterminator="\n")
+
+def _csv_pieces(sections):
+    """``sections = [(header, rows), ...]`` as CSV, one blank line between
+    sections, ``_BLOCK_ROWS`` rows per piece."""
     for index, (header, rows) in enumerate(sections):
-        if index:
-            writer.writerow([])
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        yield ("\n" if index else "") + _csv_block([header])
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            yield _csv_block(rows[start : start + _BLOCK_ROWS])
+
+
+def _json_pieces(document):
+    """``document`` as indented JSON and a final newline.  The encoder
+    yields a few characters at a time; they are joined
+    ``_JSON_CHUNKS`` at a time without a Python step per chunk."""
+    import json
+
+    chunks = iter(json.JSONEncoder(indent=2).iterencode(document))
+    yield from map("".join, iter(lambda: list(itertools.islice(chunks, _JSON_CHUNKS)), []))
+    yield "\n"
+
+
+def _write_batched(stream, pieces) -> None:
+    """Write the strings ``pieces`` to ``stream`` in writes of at least
+    ``_WRITE_CHARS`` characters; only the last may be shorter.  One
+    write per document would lose a closed pipe: unbuffered, a short
+    write drops the count and ``BrokenPipeError`` never comes."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _WRITE_CHARS:
+            # Drop the pieces before the stream copies the joined text.
+            text, batch, size = "".join(batch), [], 0
+            stream.write(text)
+    if batch:
+        stream.write("".join(batch))
 
 
 def _summary_section(summary: dict):
@@ -139,13 +183,8 @@ def _emit(args, payload, sections) -> None:
     """Write ``sections`` as CSV, or ``payload()`` as JSON: the JSON
     document is built only when it is the format asked for."""
     with _open_out(args.out) as stream:
-        if args.format == "json":
-            import json
-
-            json.dump(payload(), stream, indent=2)
-            stream.write("\n")
-        else:
-            _write_csv(stream, sections)
+        pieces = _json_pieces(payload()) if args.format == "json" else _csv_pieces(sections)
+        _write_batched(stream, pieces)
 
 
 def _write_svg(path: str, text: str) -> None:
@@ -203,13 +242,13 @@ def cmd_branch(args) -> int:
         )
     header = ["k", "tau_k", "eigenvalue", "residual", "near_critical"]
     rows = [
-        [p.k, tau * p.k, p.eigenvalue, p.residual, p.near_critical]
+        (p.k, tau * p.k, p.eigenvalue, p.residual, p.near_critical)
         for p in table.points
     ]
     summary = {"tau": table.tau, "critical_k": table.critical_k}
     sections = [(header, rows), _summary_section(summary)]
     if table.excluded:
-        sections.append((["excluded_k"], [[k] for k in table.excluded]))
+        sections.append((["excluded_k"], [(k,) for k in table.excluded]))
     _emit(
         args,
         lambda: {
@@ -229,13 +268,13 @@ def cmd_ce(args) -> int:
     diagnostics = divergence_diagnostics(series)
     header = ["n", "coefficient", "magnitude_reference", "moment_ratio", "root_test"]
     rows = [
-        [
+        (
             n,
             str(series.coefficients[n - 1]),
             str(reference[n - 1]),
             diagnostics.ratios[n - 1],
             diagnostics.root_tests[n - 1],
-        ]
+        )
         for n in range(1, series.order + 1)
     ]
     band = diagnostics.ratio_band
@@ -283,11 +322,14 @@ def cmd_compare(args) -> int:
             )
 
     header = ["x", "k", "exact"] + [f"T{n}" for n in comparison.orders]
-    rows = [
-        [x, x / tau, comparison.exact[i]]
-        + [comparison.truncations[n][i] for n in comparison.orders]
-        for i, x in enumerate(comparison.x)
-    ]
+    rows = list(
+        zip(
+            comparison.x,
+            [x / tau for x in comparison.x],
+            comparison.exact,
+            *(comparison.truncations[n] for n in comparison.orders),
+        )
+    )
     stability_header = [
         "order",
         "stable",
@@ -297,14 +339,14 @@ def cmd_compare(args) -> int:
         "sup_error_near_critical",
     ]
     stability_rows = [
-        [
+        (
             r.order,
             r.stable,
             r.sign_change_x,
             r.precedes_criticality,
             comparison.sup_error_origin[r.order],
             comparison.sup_error_critical[r.order],
-        ]
+        )
         for r in reports
     ]
     summary = {
@@ -374,9 +416,7 @@ def cmd_simulate(args) -> int:
             abs_dev = abs(decay.rate - closure)
             rel_dev = abs_dev / abs(closure) if closure != 0.0 else None
         dt_used = float(decay.times[1] - decay.times[0])
-        rows.append(
-            [k, tau * k, decay.rate, closure, abs_dev, rel_dev, dt_used, status]
-        )
+        rows.append((k, tau * k, decay.rate, closure, abs_dev, rel_dev, dt_used, status))
     summary = {
         "tau": tau,
         "velocities": args.velocities,
@@ -402,11 +442,11 @@ def cmd_spectrum(args) -> int:
     spectrum = operator_spectrum(op, gap_threshold=args.gap_threshold)
     header = ["re", "im", "hydrodynamic"]
     rows = [
-        [
+        (
             float(e.real),
             float(e.imag),
             spectrum.hydrodynamic is not None and i == 0,
-        ]
+        )
         for i, e in enumerate(spectrum.eigenvalues)
     ]
     summary = {
@@ -571,13 +611,15 @@ def main(argv=None) -> int:
         print(f"slowmode: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        # Point a stream whose reader has gone at devnull, as the note on
+        # SIGPIPE in the Python signal docs recommends, so the
+        # interpreter's final flush cannot raise again (exit 120).
         if isinstance(exc, BrokenPipeError):
-            # The reader of stdout has gone.  Point stdout at devnull, as
-            # the note on SIGPIPE in the Python signal docs recommends, so
-            # the interpreter's final flush cannot raise again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        with contextlib.suppress(OSError):  # stderr may share the closed pipe
-            print(f"slowmode: I/O error: {exc}", file=sys.stderr)
+        try:
+            print(f"slowmode: I/O error: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr shares the closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return 3
 
 

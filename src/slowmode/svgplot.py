@@ -77,16 +77,17 @@ def _figure_head(frame: _Frame, x_label: str, y_label: str, marker_x: float) -> 
     ]
 
 
-def _curve_path(frame: _Frame, xs, ys, stroke: str, dasharray: str | None) -> str:
-    """Polyline path; points outside the frame's y-window break the line."""
+def _curve_path(frame: _Frame, x_pixels, ys, stroke: str, dasharray: str | None) -> str:
+    """Polyline path through the formatted pixel x of each point;
+    points outside the frame's y-window break the line."""
     chunks: list[str] = []
     pen_down = False
-    for x, y in zip(xs, ys):
+    for x_pixel, y in zip(x_pixels, ys):
         if not (math.isfinite(y) and frame.y0 <= y <= frame.y1):
             pen_down = False
             continue
         command = "L" if pen_down else "M"
-        chunks.append(f"{command}{_fmt(frame.px(x))},{_fmt(frame.py(y))}")
+        chunks.append(f"{command}{x_pixel},{_fmt(frame.py(y))}")
         pen_down = True
     dash = f' stroke-dasharray="{dasharray}"' if dasharray else ""
     return (
@@ -116,7 +117,9 @@ def comparison_svg(
     _require_finite("x", xs)
     frame = _Frame(min(min(xs), 0.0), max(max(xs), critical_x), *_Y_WINDOW)
     parts = _figure_head(frame, "scaled wave number x", "scaled decay rate", critical_x)
-    parts.append(_curve_path(frame, xs, exact, "#000000", None))
+    # Every curve shares the grid, so each point's pixel x is formatted once.
+    x_pixels = [_fmt(frame.px(x)) for x in xs]
+    parts.append(_curve_path(frame, x_pixels, exact, "#000000", None))
     legend_y = frame.margin + 16
     parts.append(
         f'<text x="{_fmt(frame.width - frame.margin - 5)}" y="{_fmt(legend_y)}"'
@@ -124,7 +127,7 @@ def comparison_svg(
     )
     for i, order in enumerate(sorted(truncations)):
         color = _PALETTE[i % len(_PALETTE)]
-        parts.append(_curve_path(frame, xs, truncations[order], color, "6,3"))
+        parts.append(_curve_path(frame, x_pixels, truncations[order], color, "6,3"))
         legend_y += 16
         parts.append(
             f'<text x="{_fmt(frame.width - frame.margin - 5)}" y="{_fmt(legend_y)}"'

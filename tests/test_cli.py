@@ -694,16 +694,24 @@ class TestErrorHandling:
         assert "I/O error" in result.stderr
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-pipe", "stdout-pipe"])
-    def test_closed_output_pipe_exits_3(self, shared):
-        # The reader takes one line of a ~400 kB table and closes the pipe.
-        # With stderr on the same pipe the message cannot be written.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_closed_output_pipe_exits_3(self, shared, unbuffered, fmt):
+        # The reader takes one line of a ~400 kB table (~900 kB as JSON)
+        # and closes the pipe.  With stderr on the same pipe the message
+        # cannot be written.  Under PYTHONUNBUFFERED a short write drops
+        # its count, so the error must still surface on a later write.
+        env = source_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "slowmode.cli", "branch", "--points", "5000"],
+            [sys.executable, "-m", "slowmode.cli", "branch", "--points", "5000", "--format", fmt],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT if shared else subprocess.PIPE,
-            env=source_env(),
+            env=env,
         )
-        assert proc.stdout.readline().startswith(b"k,tau_k,")
+        assert proc.stdout.readline().startswith(b"{" if fmt == "json" else b"k,tau_k,")
         proc.stdout.close()
         stderr = b"" if shared else proc.stderr.read()
         assert proc.wait(timeout=300) == 3

@@ -27,6 +27,16 @@ from conftest import (
     taylor_expm_longdouble,
 )
 
+#: A known defect, recorded as a FOUND line in CHANGES.md: from q = 65
+#: the eigensolver returns the conserved mode's eigenvalue at k = 0 as
+#: negative roundoff, which the expm clamp leaves alone, so the density
+#: ends at 0.8466 at t = 1e15 where the exact trace is 1.
+EXPM_DEFECT = pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: simulate_density(method='expm') loses the "
+    "conserved density at k = 0 from q = 65 (ends at 0.8466, not 1)",
+)
+
 
 class TestGaussHermiteGrid:
     def test_two_point_rule(self):
@@ -379,7 +389,9 @@ class TestSimulateDensity:
         with pytest.raises(ValueError, match=r"exp\(lam t\) is not finite"):
             simulate_density(small, t_end=1e308, dt=1e307, method="expm")
 
-    @pytest.mark.parametrize("q", [4, 16, 64])
+    @pytest.mark.parametrize(
+        "q", [4, 16, 64, pytest.param(65, marks=EXPM_DEFECT), pytest.param(256, marks=EXPM_DEFECT)]
+    )
     def test_expm_conserves_density_at_long_horizons(self, q):
         # At k = 0 the density is conserved.  The eigensolver returns the
         # conserved mode's eigenvalue as roundoff of either sign; left

@@ -5,10 +5,10 @@ at all.
 Layers load on first use.  ``import slowmode`` binds only
 ``__version__``, and ``import slowmode.cli`` adds only
 :mod:`slowmode.errors`; each command imports its own layers when it
-runs, :mod:`json` or :mod:`csv` only for the format asked for, and
-:mod:`logging` only to emit a warning.  The names a tracer wraps at
-``slowmode.cli`` are readable there before any command has run, and a
-name rebound from outside is the one the command calls.
+runs, :mod:`json` only for JSON output (CSV is written without
+:mod:`csv`), and :mod:`logging` only to emit a warning.  The names a
+tracer wraps at ``slowmode.cli`` are readable there before any command
+has run, and a name rebound from outside is the one the command calls.
 
 Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
 the functions that build arrays.  So ``import slowmode``, ``import
@@ -71,6 +71,7 @@ CHECKS = {
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["branch", "--points", "3"]) == 0
         skipped = {
+            "csv",
             "json",
             "slowmode.ceseries",
             "slowmode.truncation",
@@ -78,7 +79,7 @@ CHECKS = {
             "slowmode.svgplot",
         }
         assert not skipped & set(sys.modules), skipped & set(sys.modules)
-        assert {"csv", "slowmode.dispersion"} <= set(sys.modules)
+        assert "slowmode.dispersion" in sys.modules
     """,
     "json_output_skips_csv": """
         import contextlib, io, sys
