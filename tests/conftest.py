@@ -6,12 +6,15 @@ the profile root is re-solved by the Newton--chord loop the package
 used before its Halley loop,
 the expansion coefficients are recomputed by series reversion of the
 moment series instead of the profile ODE, and
-the RK4 density trace is recomputed stage by stage on the complex
-generator instead of through the precomputed step matrix of its real
-form, and step by step in extended precision
-instead of through the split step index, and the expm trace from a
-Taylor-series propagator in extended precision instead of an
-eigensolver, so agreement is evidence, not circularity.
+the kinetic generator is rebuilt on a Gauss-Hermite velocity grid (the
+node form the package used before its tridiagonal moment form) from the
+operator's k, tau and size alone; the RK4 density trace is recomputed
+stage by stage on that complex generator instead of through the
+precomputed step matrix of the moment form, and step by step in
+extended precision instead of through the split step index, and the
+expm trace from a Taylor-series propagator on the node grid in extended
+precision instead of an eigensolver, so agreement is evidence, not
+circularity.
 """
 
 import functools
@@ -21,6 +24,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -196,24 +200,75 @@ def newton_oracle(order: int) -> tuple[int, ...]:
     return tuple(lam[2 * n] for n in range(1, order + 1))
 
 
-def complex_generator(op: slowmode.DiscreteOperator) -> np.ndarray:
+class VelocityGrid(NamedTuple):
+    """Gauss-Hermite velocity nodes and unit-Gaussian weights."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def gauss_hermite_grid(q: int) -> VelocityGrid:
+    """Gauss-Hermite grid with q nodes, exact for unit-Gaussian moments
+    of degree < 2q, as ``slowmode`` built it before the moment form.
+
+    Nodes and weights come from numpy's physicists' Hermite rule rescaled
+    to the weight exp(-v^2/2) / sqrt(2 pi): v = sqrt(2) x, omega = w / sqrt(pi).
+    """
+    x, w = np.polynomial.hermite.hermgauss(q)
+    return VelocityGrid(nodes=x * math.sqrt(2.0), weights=w / math.sqrt(math.pi))
+
+
+def complex_generator(k: float, tau: float, q: int) -> np.ndarray:
     """The complex generator A = -i k diag(v) - (1/tau)(I - s s^T) on the
-    operator's grid, as ``build_operator`` assembled it before it built
-    only the real form B; the tests check B against it."""
-    s = np.sqrt(op.grid.weights)
-    a = np.outer(s, s).astype(complex) / op.tau
-    a -= np.diag(1.0 / op.tau + 1j * op.k * op.grid.nodes)
+    q-node grid, s = sqrt(omega); the moment form T is similar to it."""
+    grid = gauss_hermite_grid(q)
+    s = np.sqrt(grid.weights)
+    a = np.outer(s, s).astype(complex) / tau
+    a -= np.diag(1.0 / tau + 1j * k * grid.nodes)
     return a
+
+
+def node_form(k: float, tau: float, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real node form (B, s') of A, as ``build_operator`` assembled it
+    before it built the moment form T.
+
+    The nodes pair as +-v_p with equal weights, so in the orthonormal
+    basis of even and odd pair vectors, with the odd half scaled by i and
+    W = diag(v_p) over the positive nodes,
+    B = [[(s' s'^T - I)/tau, k W^T], [-k W, -I/tau]] with
+    s'_p = sqrt(2 omega_p) on the even half (an odd grid adds
+    s'_0 = sqrt(omega_0) for its zero node), and
+    rho(t) = s'^T exp(t B) s'.
+    """
+    nodes, weights = gauss_hermite_grid(q)
+    n = q - q // 2
+    s = np.zeros(q)
+    s[:n] = np.sqrt(2.0 * weights[q // 2 :])
+    if q % 2:
+        s[0] = np.sqrt(weights[q // 2])
+    b = np.zeros((q, q))
+    b[:n, :n] = np.outer(s[:n], s[:n]) / tau
+    b[np.diag_indices(q)] -= 1.0 / tau
+    even, odd = np.arange(q % 2, n), np.arange(n, q)
+    b[even, odd] = k * nodes[n:]
+    b[odd, even] = -b[even, odd]
+    return b, s
+
+
+def _size(op: slowmode.DiscreteOperator) -> int:
+    return op.density_vector.size
 
 
 def stagewise_rk4(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:
     """Reference density trace s^T g(n dt), n = 0..steps, from g(0) = s:
-    classical RK4 on the complex generator as four matvec stages per
-    step, with a per-step watch that rejects dt once the solution norm
-    grows.  ``simulate_density`` applies the same step to the real form
-    as one precomputed matrix."""
-    s = np.sqrt(op.grid.weights).astype(complex)
-    a = complex_generator(op)
+    classical RK4 on the complex node-form generator with the operator's
+    k, tau and size, as four matvec stages per step, with a per-step
+    watch that rejects dt once the solution norm grows.
+    ``simulate_density`` applies the same step to the moment form as
+    one precomputed matrix."""
+    q = _size(op)
+    s = np.sqrt(gauss_hermite_grid(q).weights).astype(complex)
+    a = complex_generator(op.k, op.tau, q)
     g = s.copy()
     density = np.empty(steps + 1, dtype=complex)
     density[0] = s @ g
@@ -236,12 +291,12 @@ def stagewise_rk4(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.nd
 
 
 def sequential_rk4_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:
-    """Reference density trace s'^T P^n s', n = 0..steps: the RK4 step
-    matrix P of the operator's real form B, built in Horner form with
-    the identity and applied once per step in ``np.longdouble``, so its
+    """Reference density trace e^T P^n e, n = 0..steps: the RK4 step
+    matrix P of the operator's matrix T, built in Horner form with the
+    identity and applied once per step in ``np.longdouble``, so its
     rounding sits far below double's."""
     b = op.matrix.astype(np.longdouble)
-    eye = np.eye(op.grid.q, dtype=np.longdouble)
+    eye = np.eye(_size(op), dtype=np.longdouble)
     h = np.longdouble(dt)
     p = eye + (h / 4) * b
     for j in (3, 2, 1):
@@ -266,33 +321,36 @@ def _eigen_trace(matrix: np.ndarray, s: np.ndarray, times: np.ndarray) -> np.nda
 
 
 def dense_expm(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
-    """Reference density trace s'^T exp(B t) s' on the real form B of the
-    generator, from the full table over eigenvalues x times (the
-    evaluation ``simulate_density(method="expm")`` replaced by a split
-    table)."""
+    """Reference density trace e^T exp(T t) e on the operator's matrix,
+    from the full table over eigenvalues x times (the evaluation
+    ``simulate_density(method="expm")`` replaced by a split table)."""
     return _eigen_trace(op.matrix, op.density_vector, times)
 
 
 def dense_expm_complex(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
-    """Reference density trace s^T exp(A t) s from the complex generator
-    itself, the route ``simulate_density(method="expm")`` took before it
-    solved the real form; a cross-check of that similarity."""
-    return _eigen_trace(complex_generator(op), np.sqrt(op.grid.weights).astype(complex), times)
+    """Reference density trace s^T exp(A t) s from the complex node-form
+    generator with the operator's k, tau and size; a cross-check of the
+    similarity of A and T."""
+    q = _size(op)
+    s = np.sqrt(gauss_hermite_grid(q).weights).astype(complex)
+    return _eigen_trace(complex_generator(op.k, op.tau, q), s, times)
 
 
 def taylor_expm_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: int) -> np.ndarray:
     """Reference density trace s^T exp(n dt A) s, n = 0..steps, with no
-    eigensolver: A is assembled from the grid in ``np.clongdouble``, the
-    one-step propagator exp(dt A) is summed from its Taylor series until
-    the terms fall below long double's rounding, and it is applied once
-    per step."""
-    nodes = op.grid.nodes.astype(np.longdouble)
-    s = np.sqrt(op.grid.weights.astype(np.longdouble))
+    eigensolver: A is assembled on the node grid with the operator's k,
+    tau and size in ``np.clongdouble``, the one-step propagator
+    exp(dt A) is summed from its Taylor series until the terms fall
+    below long double's rounding, and it is applied once per step."""
+    q = _size(op)
+    grid = gauss_hermite_grid(q)
+    nodes = grid.nodes.astype(np.longdouble)
+    s = np.sqrt(grid.weights.astype(np.longdouble))
     tau = np.longdouble(op.tau)
     a = np.outer(s, s).astype(np.clongdouble) / tau
     a -= np.diag(1 / tau + 1j * np.longdouble(op.k) * nodes)
     a *= np.longdouble(dt)
-    propagator = np.eye(op.grid.q, dtype=np.clongdouble)
+    propagator = np.eye(q, dtype=np.clongdouble)
     term = propagator.copy()
     j = 0
     while np.max(np.abs(term)) > np.finfo(np.longdouble).eps:
@@ -314,8 +372,8 @@ def series30() -> slowmode.CeSeries:
 
 
 @pytest.fixture(scope="session")
-def grid64() -> slowmode.VelocityGrid:
-    return slowmode.gauss_hermite_grid(64)
+def grid64() -> VelocityGrid:
+    return gauss_hermite_grid(64)
 
 
 #: The checkout's source tree, put on the subprocess path by run_python.

@@ -13,12 +13,13 @@ has run, and a name rebound from outside is the one the command calls.
 Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
 the functions that build arrays.  So ``import slowmode``, ``import
 slowmode.kinetic``, the ``branch``, ``ce`` and ``compare`` commands, and
-the kinetic commands' refusals of a bad tau, grid, velocity count, k,
-time step, horizon or gap threshold must run without it, while the
-kinetic names stay plain attributes of the package and of
-``slowmode.cli``.  Each check runs in a fresh
-interpreter: another test in this process may already have imported
-numpy.
+the kinetic commands' refusals of a bad tau, velocity count, k, time
+step, horizon or gap threshold must run without it, while the kinetic
+names stay plain attributes of the package and of ``slowmode.cli``.
+The kinetic commands set ``OPENBLAS_NUM_THREADS`` to 1 before numpy
+loads, unless the user set it; the library leaves it alone.  Each check
+runs in a fresh interpreter: another test in this process may already
+have imported numpy.
 
 The result records are ``typing.NamedTuple`` classes, so no command
 imports :mod:`dataclasses` or the :mod:`inspect` it pulls in; the record
@@ -111,6 +112,14 @@ CHECKS = {
         for argv, message in (
             (["simulate", "--tau", "nan"], "--tau must be positive, got nan"),
             (["simulate", "--velocities", "1"], "velocity grid size must be in 2..256, got 1"),
+            (
+                ["simulate", "--points", "1", "--velocities", "871"],
+                "velocity grid size must be in 2..256, got 871",
+            ),
+            (
+                ["spectrum", "--k", "0.5", "--velocities", "1"],
+                "velocity grid size must be in 2..256, got 1",
+            ),
             (["spectrum", "--k", "nan"], "wave number k must be >= 0, got nan"),
             (
                 ["spectrum", "--k", "0.5", "--velocities", "300"],
@@ -130,7 +139,7 @@ CHECKS = {
         assert "numpy" not in sys.modules
     """,
     "package_names": """
-        import sys
+        import os, sys
         import slowmode
         from slowmode import ceseries, dispersion, errors, kinetic, special, svgplot, truncation
 
@@ -146,21 +155,73 @@ CHECKS = {
         # builds an array loads numpy.
         assert slowmode.kinetic.build_operator is slowmode.build_operator
         assert "numpy" not in sys.modules
-        slowmode.gauss_hermite_grid(4)
+        threads = os.environ.get("OPENBLAS_NUM_THREADS")
+        slowmode.simulate_decay(slowmode.build_operator(0.5, 1.0, 4))
         assert "numpy" in sys.modules
+        # Only the kinetic commands pin the BLAS threads, not the library.
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == threads
     """,
     "kinetic_import_and_grid_refusal_skip_numpy": """
         import sys
         import slowmode.kinetic
 
         assert "numpy" not in sys.modules
-        try:
-            slowmode.kinetic.gauss_hermite_grid(300)
-        except ValueError as exc:
-            assert str(exc) == "velocity grid size must be in 2..256, got 300", exc
-        else:
-            raise AssertionError("a 300-node grid was accepted")
+        for args, message in (
+            ((0.5, 1.0, 300), "velocity grid size must be in 2..256, got 300"),
+            ((-1.0, 1.0, 4), "wave number k must be >= 0, got -1.0"),
+            ((0.5, 1e-310, 4), "relaxation time tau = 1e-310 is too small: 1/tau overflows"),
+            (
+                (1e308, 1.0, 4),
+                "wave number k = 1e+308 is too large: k * max|v| overflows "
+                "on the 4-node velocity grid",
+            ),
+        ):
+            try:
+                slowmode.kinetic.build_operator(*args)
+            except ValueError as exc:
+                assert str(exc) == message, exc
+            else:
+                raise AssertionError(f"build_operator{args} was accepted")
         assert "numpy" not in sys.modules
+    """,
+    "kinetic_commands_default_to_one_blas_thread": """
+        import contextlib, io, os, sys
+        from slowmode.cli import main
+
+        class Watch:
+            \"\"\"Records the variable when numpy's import starts.\"\"\"
+
+            seen = []
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy":
+                    self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        sys.meta_path.insert(0, Watch())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["spectrum", "--k", "0.5", "--velocities", "8"]) == 0
+        assert Watch.seen == ["1"], Watch.seen
+    """,
+    "kinetic_commands_keep_a_users_blas_threads": """
+        import contextlib, io, os, sys
+        from slowmode.cli import main
+
+        class Watch:
+            \"\"\"Records the variable when numpy's import starts.\"\"\"
+
+            seen = []
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy":
+                    self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+        os.environ["OPENBLAS_NUM_THREADS"] = "2"
+        sys.meta_path.insert(0, Watch())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--points", "1", "--velocities", "8"]) == 0
+        assert Watch.seen == ["2"], Watch.seen
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
     """,
     "star_import": """
         import slowmode
@@ -177,12 +238,7 @@ CHECKS = {
         for layer, names in {
             "ceseries": ("a000699", "ce_coefficients", "divergence_diagnostics"),
             "dispersion": ("sample_branch", "solve_diffusion_mode"),
-            "kinetic": (
-                "build_operator",
-                "gauss_hermite_grid",
-                "operator_spectrum",
-                "simulate_decay",
-            ),
+            "kinetic": ("build_operator", "operator_spectrum", "simulate_decay"),
             "svgplot": ("comparison_svg", "spectrum_svg"),
             "truncation": ("classify_stability", "compare_to_exact"),
         }.items():
@@ -254,8 +310,7 @@ RECORDS = {
         "iterations",
     ),
     dispersion.BranchTable: ("tau", "critical_k", "points", "excluded"),
-    kinetic.VelocityGrid: ("nodes", "weights"),
-    kinetic.DiscreteOperator: ("k", "tau", "grid", "matrix", "density_vector"),
+    kinetic.DiscreteOperator: ("k", "tau", "v_max", "matrix", "density_vector"),
     kinetic.SpectrumResult: (
         "eigenvalues",
         "hydrodynamic",
