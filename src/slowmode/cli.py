@@ -39,35 +39,25 @@ from .errors import (
 #: Largest grid a command builds; larger ones are refused before allocation.
 MAX_POINTS = 10**6
 
-#: The names the commands call, by the layer that defines them.
-_LAYER_NAMES = {
-    "ceseries": ("a000699", "ce_coefficients", "divergence_diagnostics"),
-    "dispersion": (
-        "CRITICAL_COUPLING", "critical_wave_number", "sample_branch", "solve_diffusion_mode"
-    ),
-    "kinetic": ("build_operator", "operator_spectrum", "simulate_decay"),
-    "svgplot": ("comparison_svg", "spectrum_svg"),
-    "truncation": ("classify_stability", "compare_to_exact"),
-}
-
-
 def _load(*layers) -> None:
-    """Import ``layers`` and bind here the names the commands call from
-    them.  A name already bound here, say a wrapper installed from
-    outside, is kept."""
+    """Import ``layers`` and bind here every name in each one's
+    ``__all__``, the one list of what a layer exports.  A name already
+    bound here, say a wrapper installed from outside, is kept."""
     for layer in layers:
         module = importlib.import_module(f"{__package__}.{layer}")
-        for name in _LAYER_NAMES[layer]:
+        for name in module.__all__:
             globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name):
-    """A layer name read before any command has run binds its layer."""
-    for layer, names in _LAYER_NAMES.items():
-        if name in names:
-            _load(layer)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A layer's public name read before any command has run, found
+    through the package's ``__all__``.  A dunder name is refused first:
+    the import system probes ``__path__``, and the lookup would import
+    every layer."""
+    package = sys.modules[__package__]
+    if name.startswith("__") or name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(package, name)
 
 
 def _warn(message: str, *args) -> None:
@@ -221,7 +211,7 @@ def _parse_orders(text: str) -> list[int]:
         raise ValueError(f"--orders must be comma-separated integers, got {text!r}")
     if not orders:
         raise ValueError("--orders must list at least one truncation order")
-    return sorted(set(orders))
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +298,9 @@ def cmd_compare(args) -> int:
     tau = _validate_positive(args.tau, "--tau")
     orders = _parse_orders(args.orders)
     x_grid = _wave_grid(0.0, CRITICAL_COUPLING, args.points, tau)
-    series = ce_coefficients(orders[-1])
+    series = ce_coefficients(max(orders))
     comparison = compare_to_exact(x_grid, orders, series)
-    reports = [classify_stability(series, order) for order in orders]
+    reports = [classify_stability(series, order) for order in comparison.orders]
     for report in reports:
         if report.precedes_criticality is False:
             _warn(
@@ -385,9 +375,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # Before numpy loads, which reads it: one OpenBLAS thread runs the
-    # small kinetic matrices faster than several.  A user's value wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _load("dispersion", "kinetic")
     tau = _validate_positive(args.tau, "--tau")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
@@ -434,7 +421,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as in cmd_simulate
     _load("kinetic")
     tau = _validate_positive(args.tau, "--tau")
     k = _validate_nonnegative(args.k, "wave number k")
@@ -604,6 +590,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Before numpy loads, which reads it: one OpenBLAS thread runs the
+    # small kinetic matrices faster than several.  A user's value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except SelfCheckError as exc:

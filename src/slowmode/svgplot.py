@@ -16,6 +16,11 @@ _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 #: Decay-rate window of the comparison figure.
 _Y_WINDOW = (-1.3, 0.3)
 
+#: Figure size and the margin around the plotted viewport, in pixels.
+_WIDTH = 640
+_HEIGHT = 440
+_MARGIN = 50
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
@@ -36,42 +41,39 @@ class _Frame(NamedTuple):
     x1: float
     y0: float
     y1: float
-    width: int = 640
-    height: int = 440
-    margin: int = 50
 
     def px(self, x: float) -> float:
         span = self.x1 - self.x0
         u = (x - self.x0) / span if span else 0.5
-        return self.margin + u * (self.width - 2 * self.margin)
+        return _MARGIN + u * (_WIDTH - 2 * _MARGIN)
 
     def py(self, y: float) -> float:
         span = self.y1 - self.y0
         u = (y - self.y0) / span if span else 0.5
-        return self.height - self.margin - u * (self.height - 2 * self.margin)
+        return _HEIGHT - _MARGIN - u * (_HEIGHT - 2 * _MARGIN)
 
 
 def _figure_head(frame: _Frame, x_label: str, y_label: str, marker_x: float) -> list[str]:
     """Document head, background, axes, their labels and a dashed
     vertical marker line at x = marker_x."""
-    left = _fmt(frame.margin)
-    right = _fmt(frame.width - frame.margin)
-    top = _fmt(frame.margin)
-    bottom = _fmt(frame.height - frame.margin)
+    left = _fmt(_MARGIN)
+    right = _fmt(_WIDTH - _MARGIN)
+    top = _fmt(_MARGIN)
+    bottom = _fmt(_HEIGHT - _MARGIN)
     marker = _fmt(frame.px(marker_x))
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{frame.width}"'
-        f' height="{frame.height}" viewBox="0 0 {frame.width} {frame.height}">',
-        f'<rect x="0" y="0" width="{frame.width}" height="{frame.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}"'
+        f' height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000000" stroke-width="1"/>',
         f'<line x1="{left}" y1="{bottom}" x2="{left}" y2="{top}" stroke="#000000" stroke-width="1"/>',
-        f'<text x="{left}" y="{_fmt(frame.height - frame.margin + 30)}" font-size="12">{_fmt(frame.x0)}</text>',
-        f'<text x="{right}" y="{_fmt(frame.height - frame.margin + 30)}" font-size="12" text-anchor="end">{_fmt(frame.x1)}</text>',
-        f'<text x="{_fmt(frame.margin - 5)}" y="{bottom}" font-size="12" text-anchor="end">{_fmt(frame.y0)}</text>',
-        f'<text x="{_fmt(frame.margin - 5)}" y="{_fmt(frame.margin + 4)}" font-size="12" text-anchor="end">{_fmt(frame.y1)}</text>',
-        f'<text x="{_fmt(frame.width / 2)}" y="{_fmt(frame.height - 10)}" font-size="13" text-anchor="middle">{x_label}</text>',
-        f'<text x="15" y="{_fmt(frame.height / 2)}" font-size="13" text-anchor="middle" transform="rotate(-90 15 {_fmt(frame.height / 2)})">{y_label}</text>',
+        f'<text x="{left}" y="{_fmt(_HEIGHT - _MARGIN + 30)}" font-size="12">{_fmt(frame.x0)}</text>',
+        f'<text x="{right}" y="{_fmt(_HEIGHT - _MARGIN + 30)}" font-size="12" text-anchor="end">{_fmt(frame.x1)}</text>',
+        f'<text x="{_fmt(_MARGIN - 5)}" y="{bottom}" font-size="12" text-anchor="end">{_fmt(frame.y0)}</text>',
+        f'<text x="{_fmt(_MARGIN - 5)}" y="{_fmt(_MARGIN + 4)}" font-size="12" text-anchor="end">{_fmt(frame.y1)}</text>',
+        f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_HEIGHT - 10)}" font-size="13" text-anchor="middle">{x_label}</text>',
+        f'<text x="15" y="{_fmt(_HEIGHT / 2)}" font-size="13" text-anchor="middle" transform="rotate(-90 15 {_fmt(_HEIGHT / 2)})">{y_label}</text>',
         f'<line x1="{marker}" y1="{top}" x2="{marker}" y2="{bottom}" stroke="#888888"'
         ' stroke-width="1" stroke-dasharray="2,3"/>',
     ]
@@ -120,9 +122,9 @@ def comparison_svg(
     # Every curve shares the grid, so each point's pixel x is formatted once.
     x_pixels = [_fmt(frame.px(x)) for x in xs]
     parts.append(_curve_path(frame, x_pixels, exact, "#000000", None))
-    legend_y = frame.margin + 16
+    legend_y = _MARGIN + 16
     parts.append(
-        f'<text x="{_fmt(frame.width - frame.margin - 5)}" y="{_fmt(legend_y)}"'
+        f'<text x="{_fmt(_WIDTH - _MARGIN - 5)}" y="{_fmt(legend_y)}"'
         ' font-size="12" text-anchor="end">exact</text>'
     )
     for i, order in enumerate(sorted(truncations)):
@@ -130,7 +132,7 @@ def comparison_svg(
         parts.append(_curve_path(frame, x_pixels, truncations[order], color, "6,3"))
         legend_y += 16
         parts.append(
-            f'<text x="{_fmt(frame.width - frame.margin - 5)}" y="{_fmt(legend_y)}"'
+            f'<text x="{_fmt(_WIDTH - _MARGIN - 5)}" y="{_fmt(legend_y)}"'
             f' font-size="12" text-anchor="end" fill="{color}">N={order}</text>'
         )
     parts.append("</svg>")

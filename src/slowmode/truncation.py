@@ -25,7 +25,7 @@ import sys
 from typing import NamedTuple
 
 from .ceseries import CeSeries
-from .dispersion import CRITICAL_COUPLING, branch_point
+from .dispersion import CRITICAL_COUPLING, sample_branch
 from .errors import SelfCheckError, _validate_count, _validate_nonnegative
 
 __all__ = [
@@ -177,26 +177,21 @@ def classify_stability(series: CeSeries, order: int) -> TruncationReport:
 def compare_to_exact(x_values, orders, series: CeSeries) -> TruncationComparison:
     """Tabulate the truncations of ``series`` against the exact scaled branch.
 
-    Grid points where the exact branch does not exist (supercritical,
-    x >= sqrt(pi/2)) are excluded; :func:`branch_point` decides which.
+    ``orders`` are validated, deduplicated and sorted here.  The x values
+    are validated, then solved as wave numbers at tau = 1 by
+    :func:`slowmode.dispersion.sample_branch`, which sets the points
+    where the exact branch does not exist (supercritical,
+    x >= sqrt(pi/2)) aside as ``excluded``.
     """
     counts = {_validate_count(n, "truncation order", 1, series.order) for n in orders}
     orders = tuple(sorted(counts))
     if not orders:
         raise ValueError("at least one truncation order is required")
     coefficients = {order: _float_coefficients(series, order) for order in orders}
-
-    kept: list[float] = []
-    exact: list[float] = []
-    excluded: list[float] = []
-    for x in x_values:
-        x = _validate_nonnegative(x, "scaled wave number")
-        point = branch_point(x)
-        if point is None:
-            excluded.append(x)
-        else:
-            kept.append(x)
-            exact.append(point.eigenvalue)
+    xs = [_validate_nonnegative(x, "scaled wave number") for x in x_values]
+    table = sample_branch(1.0, xs)
+    kept = [point.k for point in table.points]
+    exact = [point.eigenvalue for point in table.points]
 
     truncations = {
         order: tuple(_eval_truncation(coefficients[order], x) for x in kept)
@@ -221,5 +216,5 @@ def compare_to_exact(x_values, orders, series: CeSeries) -> TruncationComparison
         sup_error_critical={
             n: window_sup(n, near_critical_lo, CRITICAL_COUPLING) for n in orders
         },
-        excluded=tuple(excluded),
+        excluded=tuple(table.excluded),
     )

@@ -6,9 +6,12 @@ Layers load on first use.  ``import slowmode`` binds only
 ``__version__``, and ``import slowmode.cli`` adds only
 :mod:`slowmode.errors`; each command imports its own layers when it
 runs, :mod:`json` only for JSON output (CSV is written without
-:mod:`csv`), and :mod:`logging` only to emit a warning.  The names a
-tracer wraps at ``slowmode.cli`` are readable there before any command
-has run, and a name rebound from outside is the one the command calls.
+:mod:`csv`), and :mod:`logging` only to emit a warning.  A command
+binds at ``slowmode.cli`` every name in its layers' ``__all__``, the one
+list of what a layer exports.  Every such name is readable there before
+any command has run, as the layer's own object, without a dunder probe
+such as ``__path__`` loading a layer; a name rebound from outside is the
+one the command calls.
 
 Only :mod:`slowmode.kinetic` needs numpy, and it imports numpy inside
 the functions that build arrays.  So ``import slowmode``, ``import
@@ -16,8 +19,8 @@ slowmode.kinetic``, the ``branch``, ``ce`` and ``compare`` commands, and
 the kinetic commands' refusals of a bad tau, velocity count, k, time
 step, horizon or gap threshold must run without it, while the kinetic
 names stay plain attributes of the package and of ``slowmode.cli``.
-The kinetic commands set ``OPENBLAS_NUM_THREADS`` to 1 before numpy
-loads, unless the user set it; the library leaves it alone.  Each check
+The CLI sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads, unless
+the user set it; the library leaves it alone.  Each check
 runs in a fresh interpreter: another test in this process may already
 have imported numpy.
 
@@ -248,6 +251,20 @@ CHECKS = {
                 assert value is getattr(getattr(slowmode, layer), name), name
         assert getattr(cli, "backend", None) is None
     """,
+    "cli_binds_every_layer_name": """
+        import sys
+        import slowmode.cli as cli
+
+        # The import system's dunder probe loads no layer.
+        assert not hasattr(cli, "__path__")
+        loaded = {name for name in sys.modules if name.startswith("slowmode.")}
+        assert loaded == {"slowmode.cli", "slowmode.errors"}, loaded
+        from slowmode import ceseries, dispersion, errors, kinetic, special, svgplot, truncation
+
+        for layer in (ceseries, dispersion, errors, kinetic, special, svgplot, truncation):
+            for name in layer.__all__:
+                assert getattr(cli, name) is getattr(layer, name), (layer.__name__, name)
+    """,
     "cli_keeps_a_name_bound_from_outside": """
         import contextlib, io, os, tempfile
         import slowmode.cli as cli
@@ -319,7 +336,7 @@ RECORDS = {
         "essential_rate",
     ),
     kinetic.DecayResult: ("rate", "times", "density", "fit_start", "method"),
-    svgplot._Frame: ("x0", "x1", "y0", "y1", "width", "height", "margin"),
+    svgplot._Frame: ("x0", "x1", "y0", "y1"),
     truncation.TruncationReport: (
         "order",
         "stable",
@@ -353,7 +370,9 @@ def test_record_fields_and_immutability(record):
 
 
 def test_frame_defaults():
-    assert svgplot._Frame._field_defaults == {"width": 640, "height": 440, "margin": 50}
+    # The figure size is fixed by module constants, not settable per frame.
+    assert svgplot._Frame._field_defaults == {}
+    assert (svgplot._WIDTH, svgplot._HEIGHT, svgplot._MARGIN) == (640, 440, 50)
 
 
 def test_private_names_stay_in_their_module():

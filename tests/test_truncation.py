@@ -11,6 +11,7 @@ from slowmode import (
     ce_coefficients,
     classify_stability,
     compare_to_exact,
+    dispersion,
     eval_truncation,
     scaled_eigenvalue,
 )
@@ -185,6 +186,20 @@ class TestCompareToExact:
         comparison = compare_to_exact([0.0, 0.5, 1.3, 2.0], [1, 2], series=series10)
         assert comparison.x == (0.0, 0.5)
         assert comparison.excluded == (1.3, 2.0)
+
+    def test_solves_through_the_one_branch_loop(self, series10, monkeypatch):
+        # sample_branch is the one grid loop: each x is one branch_point call.
+        calls = []
+        original = dispersion.branch_point
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "branch_point", counting)
+        comparison = compare_to_exact([0.1, 0.5, 2.0], [1], series=series10)
+        assert len(calls) == 3
+        assert comparison.excluded == (2.0,)
 
     def test_exact_column_matches_solver(self, series10):
         xs = np.linspace(0.0, CRITICAL_COUPLING, 20, endpoint=False)
