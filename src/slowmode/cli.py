@@ -26,6 +26,7 @@ import itertools
 import math
 import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .errors import (
@@ -162,8 +163,13 @@ def _columns(header, rows) -> list[list]:
 
 @contextlib.contextmanager
 def _open_out(path: str):
+    """The output stream, flushed or closed on the way out, so a
+    failing last write is raised here and ``main`` reports it."""
     if path in (None, "-"):
-        yield sys.stdout
+        try:
+            yield sys.stdout
+        finally:
+            sys.stdout.flush()
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -588,6 +594,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command in-process and return its exit code, with its
+    output flushed.  Only argparse exits, on usage errors, ``--help``
+    and ``--version``."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     # Before numpy loads, which reads it: one OpenBLAS thread runs the
@@ -603,8 +612,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         # Point a stream whose reader has gone at devnull, as the note on
-        # SIGPIPE in the Python signal docs recommends, so the
-        # interpreter's final flush cannot raise again (exit 120).
+        # SIGPIPE in the Python signal docs recommends, so a caller that
+        # exits normally cannot fail the interpreter's final flush (exit
+        # 120).
         if isinstance(exc, BrokenPipeError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         try:
@@ -614,5 +624,20 @@ def main(argv=None) -> int:
         return 3
 
 
+def console_entry() -> NoReturn:
+    """Run ``main`` on the process's arguments and end the process with
+    its exit code, skipping interpreter teardown: the final garbage
+    collection, module teardown and atexit handlers.  ``main`` has
+    flushed stdout; stderr is flushed here, and a failure to flush it
+    turns success into exit 3.  argparse's own exits and uncaught
+    exceptions leave through the normal path."""
+    code = main()
+    try:
+        sys.stderr.flush()
+    except OSError:  # a warning never reached a closed stderr
+        code = code or 3
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -285,7 +285,13 @@ def simulate_density(
                 c = (dt / j) * op.matrix
                 y = c + c @ y
             p = np.eye(q) + y
-        norm = float(np.linalg.norm(p, 2)) if np.isfinite(p).all() else math.inf
+            gram = p.T @ p
+        # ||P||_2 is the root of the largest eigenvalue of P^T P: one
+        # symmetric eigensolve in place of a full SVD.  A non-finite P
+        # gives a non-finite P^T P, as does an overflowing product.
+        norm = (
+            math.sqrt(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
+        )
         if norm > 1.0 + 1e-9:
             raise ValueError(
                 f"dt = {dt!r} gives an expansive RK4 step, ||P||_2 = {norm:.6g}: reduce dt"

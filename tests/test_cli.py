@@ -1,7 +1,9 @@
 """End-to-end command-line tests (subprocess level) and SVG output."""
 
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -14,6 +16,17 @@ from slowmode import a000699, cli, comparison_svg, critical_wave_number, spectru
 from conftest import csv_sections, run_cli, run_python, source_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def cli_env(unbuffered: bool = False) -> dict:
+    """``source_env()`` with stdout buffered, unless ``unbuffered``,
+    and logging at its default level."""
+    env = source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    env.pop("SLOWMODE_LOG_LEVEL", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -701,15 +714,11 @@ class TestErrorHandling:
         # and closes the pipe.  With stderr on the same pipe the message
         # cannot be written.  Under PYTHONUNBUFFERED a short write drops
         # its count, so the error must still surface on a later write.
-        env = source_env()
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "slowmode.cli", "branch", "--points", "5000", "--format", fmt],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT if shared else subprocess.PIPE,
-            env=env,
+            env=cli_env(unbuffered),
         )
         assert proc.stdout.readline().startswith(b"{" if fmt == "json" else b"k,tau_k,")
         proc.stdout.close()
@@ -719,10 +728,121 @@ class TestErrorHandling:
             proc.stderr.close()
             assert stderr == b"slowmode: I/O error: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_final_flush_exits_3(self, sink, unbuffered, fmt):
+        # A table shorter than the stdout buffer reaches the stream only
+        # in the last flush; its failure is an I/O error like any other.
+        # The pipe's reader is gone before the child starts.
+        if sink == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+            failure = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        else:
+            reader, stdout = os.pipe()
+            os.close(reader)
+            failure = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "slowmode.cli", "ce", "--order", "5", "--format", fmt],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                env=cli_env(unbuffered),
+                timeout=300,
+            )
+        finally:
+            os.close(stdout)
+        assert result.returncode == 3
+        assert result.stderr == f"slowmode: I/O error: {failure}\n".encode()
+
+    def test_closed_stderr_after_warning_exits_3(self):
+        # The warning cannot reach stderr, whose reader is gone: the
+        # table is complete, but the run reports the I/O failure.
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "slowmode.cli", *EMPTY_BRANCH],
+                stdout=subprocess.PIPE,
+                stderr=writer,
+                env=cli_env(),
+                timeout=300,
+            )
+        finally:
+            os.close(writer)
+        assert result.returncode == 3
+        assert result.stdout.startswith(b"k,tau_k,eigenvalue,residual,near_critical\n")
+
     def test_version(self):
         result = run_cli(["--version"])
         assert result.returncode == 0
         assert result.stdout.strip() == "slowmode 0.1.0"
+
+
+class TestProcessExit:
+    """A CLI process ends in ``os._exit`` once ``main`` has flushed its
+    output: no atexit handler, module teardown or final collection
+    runs, and nothing the normal exit would have written is lost."""
+
+    ENTRIES = {
+        "python-m": 'import runpy; runpy.run_module("slowmode.cli", run_name="__main__")',
+        "console-script": "from slowmode.cli import console_entry; console_entry()",
+    }
+
+    @staticmethod
+    def run(args, cwd=None) -> subprocess.CompletedProcess:
+        """A fresh interpreter with buffered stdout, the mode in which
+        a hard exit could drop unflushed output."""
+        return subprocess.run(
+            [sys.executable, *args], cwd=cwd, capture_output=True, env=cli_env(), timeout=300
+        )
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_atexit_handlers_do_not_run(self, entry, capsys):
+        script = f"""
+            import atexit, sys
+            atexit.register(print, "teardown ran")
+            sys.argv = ["slowmode", "ce", "--order", "2"]
+            {self.ENTRIES[entry]}
+        """
+        result = self.run(["-c", textwrap.dedent(script)])
+        assert cli.main(["ce", "--order", "2"]) == 0
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.decode() == capsys.readouterr().out
+        assert result.stderr == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["branch", "--points", "5000"],
+            ["branch", "--points", "5000", "--format", "json"],
+            ["compare", "--points", "300", "--svg", "figure.svg"],
+            ["ce", "--order", "5", "--out", "table.csv"],
+            ["branch", "--kmin", "2", "--kmax", "3", "--points", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_hard_exit_loses_no_bytes(self, argv, tmp_path):
+        # The same run ended normally after an in-process main(argv) is
+        # the reference: exit code, stdout, stderr and files.  The empty
+        # branch's warning must reach stderr without logging's atexit
+        # shutdown.
+        def outcome(name, entry):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            proc = self.run([*entry, *argv], cwd=cwd)
+            files = {path.name: path.read_bytes() for path in cwd.iterdir()}
+            return proc.returncode, proc.stdout, proc.stderr, files
+
+        hard = outcome("hard", ["-m", "slowmode.cli"])
+        normal = outcome(
+            "normal",
+            ["-c", "import sys; from slowmode.cli import main; sys.exit(main(sys.argv[1:]))"],
+        )
+        assert hard == normal
+        assert hard[0] == 0
 
 
 class TestSvgWriters:
