@@ -11,9 +11,11 @@ Subcommands::
 Output goes to ``--out`` (default stdout) as CSV (default) or JSON.  CSV
 documents may contain several sections separated by one blank line,
 each with its own header row; the section order per command is fixed
-and documented in the README.  Expansion coefficients are emitted as
-decimal strings in both formats: they exceed 2**53 long before the
-interesting orders and must not pass through binary floating point.
+and documented in the README.  JSON documents hold the same tables and
+are written by :mod:`slowmode.jsonwriter`, loaded only for them.
+Expansion coefficients are emitted as decimal strings in both formats:
+they exceed 2**53 long before the interesting orders and must not pass
+through binary floating point.
 
 Exit codes: 0 success; 2 invalid usage or configuration; 3 I/O failure;
 4 internal self-check failure.
@@ -22,7 +24,6 @@ Exit codes: 0 success; 2 invalid usage or configuration; 3 I/O failure;
 import argparse
 import contextlib
 import importlib
-import itertools
 import math
 import os
 import sys
@@ -79,54 +80,76 @@ def _warn(message: str, *args) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Text of each cell type the commands emit: floats in ``repr``'s shortest
-#: round-trip form, booleans as true/false, None as an empty cell.
-_CELL_TEXT = {
+class _Table:
+    """A table: its header and one sequence of cells per column.  It is
+    a CSV section, and in a JSON document an array of records keyed by
+    the header (:mod:`slowmode.jsonwriter`)."""
+
+    def __init__(self, header, columns):
+        self.header, self.columns = header, columns
+
+
+def _rows_table(header, rows) -> _Table:
+    """The table of ``rows``, each a sequence of ``len(header)`` cells."""
+    return _Table(header, list(zip(*rows)) or [()] * len(header))
+
+
+def _summary_section(summary: dict) -> _Table:
+    """A one-row table whose header is the summary's keys."""
+    return _rows_table(list(summary), [summary.values()])
+
+
+#: Text of each cell type the commands emit in CSV: floats in ``repr``'s
+#: shortest round-trip form, booleans as true/false, None as an empty
+#: cell.
+_CSV_TEXT = {
     float: float.__repr__,
     int: int.__repr__,
     str: str,
     bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda value: "",
+    type(None): {None: ""}.__getitem__,
 }
 
-#: Rows rendered per CSV block, encoder chunks joined per JSON piece, and
-#: the least characters per write.
+#: Rows rendered per piece of a document, and the least characters per
+#: write.
 _BLOCK_ROWS = 1024
-_JSON_CHUNKS = 256
 _WRITE_CHARS = 1 << 16
 
 
-def _csv_block(rows) -> str:
-    """``rows`` as CSV lines, each ending in a newline.  No cell holds a
-    comma, quote or line break, so none is quoted; like the ``csv``
-    module, a row of one empty cell is written ``""``."""
-    text = _CELL_TEXT
-    lines = [
-        ",".join([text[type(value)](value) for value in row]) or ('""' if row else "")
-        for row in rows
-    ]
-    lines.append("")
-    return "\n".join(lines)
+def _texts(column, cell_text) -> list[str]:
+    """The cells of ``column`` as the table ``cell_text`` writes them:
+    one ``map`` when all cells share a type, a lookup per cell
+    otherwise."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        return list(map(cell_text[kinds.pop()], column))
+    return [cell_text[type(value)](value) for value in column]
+
+
+def _blocks(columns, cell_text):
+    """The rows of ``columns`` in runs of ``_BLOCK_ROWS``, each run as
+    one list of cell texts per column, written by the table
+    ``cell_text``."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield [_texts(column[start : start + _BLOCK_ROWS], cell_text) for column in columns]
+
+
+def _csv_lines(texts) -> str:
+    """The rows whose cell texts ``texts`` holds column by column, as CSV
+    lines, each ending in a newline.  No cell holds a comma, quote or
+    line break, so none is quoted; like the ``csv`` module, a row of one
+    empty cell is written ``""``."""
+    if len(texts) == 1:
+        texts = [[cell or '""' for cell in texts[0]]]
+    return "\n".join(map(",".join, zip(*texts))) + "\n"
 
 
 def _csv_pieces(sections):
-    """``sections = [(header, rows), ...]`` as CSV, one blank line between
-    sections, ``_BLOCK_ROWS`` rows per piece."""
-    for index, (header, rows) in enumerate(sections):
-        yield ("\n" if index else "") + _csv_block([header])
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            yield _csv_block(rows[start : start + _BLOCK_ROWS])
-
-
-def _json_pieces(document):
-    """``document`` as indented JSON and a final newline.  The encoder
-    yields a few characters at a time; they are joined
-    ``_JSON_CHUNKS`` at a time without a Python step per chunk."""
-    import json
-
-    chunks = iter(json.JSONEncoder(indent=2).iterencode(document))
-    yield from map("".join, iter(lambda: list(itertools.islice(chunks, _JSON_CHUNKS)), []))
-    yield "\n"
+    """The tables ``sections`` as CSV, one blank line between them,
+    ``_BLOCK_ROWS`` rows per piece."""
+    for index, table in enumerate(sections):
+        yield ("\n" if index else "") + _csv_lines([[name] for name in table.header])
+        yield from map(_csv_lines, _blocks(table.columns, _CSV_TEXT))
 
 
 def _write_batched(stream, pieces) -> None:
@@ -146,21 +169,6 @@ def _write_batched(stream, pieces) -> None:
         stream.write("".join(batch))
 
 
-def _summary_section(summary: dict):
-    """A one-row CSV section whose header is the summary's keys."""
-    return list(summary), [list(summary.values())]
-
-
-def _records(header, rows) -> list[dict]:
-    """A table as JSON records keyed by its CSV header."""
-    return [dict(zip(header, row)) for row in rows]
-
-
-def _columns(header, rows) -> list[list]:
-    """A table as one list per CSV column."""
-    return [[row[i] for row in rows] for i in range(len(header))]
-
-
 @contextlib.contextmanager
 def _open_out(path: str):
     """The output stream, flushed or closed on the way out, so a
@@ -175,11 +183,16 @@ def _open_out(path: str):
             yield fh
 
 
-def _emit(args, payload, sections) -> None:
-    """Write ``sections`` as CSV, or ``payload()`` as JSON: the JSON
-    document is built only when it is the format asked for."""
+def _emit(args, document: dict, sections) -> None:
+    """Write the tables ``sections`` as CSV, or ``document``, which
+    holds the same tables and cells, as JSON through
+    :mod:`slowmode.jsonwriter`, loaded only then."""
+    if args.format == "json":
+        _load("jsonwriter")
+        pieces = json_pieces(document, _blocks)
+    else:
+        pieces = _csv_pieces(sections)
     with _open_out(args.out) as stream:
-        pieces = _json_pieces(payload()) if args.format == "json" else _csv_pieces(sections)
         _write_batched(stream, pieces)
 
 
@@ -236,24 +249,17 @@ def cmd_branch(args) -> int:
             "(critical k = %r); emitting an empty table",
             table.critical_k,
         )
-    header = ["k", "tau_k", "eigenvalue", "residual", "near_critical"]
-    rows = [
-        (p.k, tau * p.k, p.eigenvalue, p.residual, p.near_critical)
-        for p in table.points
-    ]
-    summary = {"tau": table.tau, "critical_k": table.critical_k}
-    sections = [(header, rows), _summary_section(summary)]
-    if table.excluded:
-        sections.append((["excluded_k"], [(k,) for k in table.excluded]))
-    _emit(
-        args,
-        lambda: {
-            **summary,
-            "points": _records(header, rows),
-            "excluded": table.excluded,
-        },
-        sections,
+    fields = list(zip(*table.points)) or [()] * len(BranchPoint._fields)
+    k, _, eigenvalue, residual, near_critical, *_ = fields
+    points = _Table(
+        ["k", "tau_k", "eigenvalue", "residual", "near_critical"],
+        [k, [tau * value for value in k], eigenvalue, residual, near_critical],
     )
+    summary = {"tau": table.tau, "critical_k": table.critical_k}
+    sections = [points, _summary_section(summary)]
+    if table.excluded:
+        sections.append(_Table(["excluded_k"], [table.excluded]))
+    _emit(args, {**summary, "points": points, "excluded": table.excluded}, sections)
     return 0
 
 
@@ -262,17 +268,19 @@ def cmd_ce(args) -> int:
     series = ce_coefficients(args.order)
     reference = a000699(args.order)
     diagnostics = divergence_diagnostics(series)
-    header = ["n", "coefficient", "magnitude_reference", "moment_ratio", "root_test"]
-    rows = [
-        (
-            n,
-            str(series.coefficients[n - 1]),
-            str(reference[n - 1]),
-            diagnostics.ratios[n - 1],
-            diagnostics.root_tests[n - 1],
-        )
-        for n in range(1, series.order + 1)
-    ]
+    # Decimal strings: the coefficients exceed 2**53 early on.
+    coefficients = list(map(str, series.coefficients))
+    magnitudes = list(map(str, reference))
+    table = _Table(
+        ["n", "coefficient", "magnitude_reference", "moment_ratio", "root_test"],
+        [
+            range(1, series.order + 1),
+            coefficients,
+            magnitudes,
+            diagnostics.ratios,
+            diagnostics.root_tests,
+        ],
+    )
     band = diagnostics.ratio_band
     summary = {
         "order": series.order,
@@ -281,21 +289,17 @@ def cmd_ce(args) -> int:
         "ratio_min": band[0] if band else None,
         "ratio_max": band[1] if band else None,
     }
-
-    def payload():
-        _, coefficients, magnitudes, ratios, root_tests = _columns(header, rows)
-        return {
-            "order": summary["order"],
-            "coefficients": coefficients,
-            "magnitude_reference": magnitudes,
-            "moment_ratios": ratios,
-            "root_tests": root_tests,
-            "radius_estimate": summary["radius_estimate"],
-            "root_test_increasing": summary["root_test_increasing"],
-            "ratio_band": list(band) if band else None,
-        }
-
-    _emit(args, payload, [(header, rows), _summary_section(summary)])
+    document = {
+        "order": series.order,
+        "coefficients": coefficients,
+        "magnitude_reference": magnitudes,
+        "moment_ratios": diagnostics.ratios,
+        "root_tests": diagnostics.root_tests,
+        "radius_estimate": diagnostics.radius_estimate,
+        "root_test_increasing": diagnostics.root_test_increasing,
+        "ratio_band": band,
+    }
+    _emit(args, document, [table, _summary_section(summary)])
     return 0
 
 
@@ -317,14 +321,10 @@ def cmd_compare(args) -> int:
                 CRITICAL_COUPLING,
             )
 
-    header = ["x", "k", "exact"] + [f"T{n}" for n in comparison.orders]
-    rows = list(
-        zip(
-            comparison.x,
-            [x / tau for x in comparison.x],
-            comparison.exact,
-            *(comparison.truncations[n] for n in comparison.orders),
-        )
+    truncations = [comparison.truncations[n] for n in comparison.orders]
+    columns = [comparison.x, [x / tau for x in comparison.x], comparison.exact]
+    table = _Table(
+        ["x", "k", "exact"] + [f"T{n}" for n in comparison.orders], columns + truncations
     )
     stability_header = [
         "order",
@@ -345,27 +345,19 @@ def cmd_compare(args) -> int:
         )
         for r in reports
     ]
+    stability = _rows_table(stability_header, stability_rows)
     summary = {
         "tau": tau,
         "critical_x": CRITICAL_COUPLING,
         "critical_k": critical_wave_number(tau),
     }
-
-    def payload():
-        columns = _columns(header, rows)
-        return {
-            **summary,
-            **dict(zip(header[:3], columns)),
-            "truncations": dict(zip(map(str, comparison.orders), columns[3:])),
-            "stability": _records(stability_header, stability_rows),
-        }
-
-    sections = [
-        (header, rows),
-        (stability_header, stability_rows),
-        _summary_section(summary),
-    ]
-    _emit(args, payload, sections)
+    document = {
+        **summary,
+        **dict(zip(table.header, columns)),
+        "truncations": dict(zip(map(str, comparison.orders), truncations)),
+        "stability": stability,
+    }
+    _emit(args, document, [table, stability, _summary_section(summary)])
     if args.svg:
         _load("svgplot")
         _write_svg(
@@ -418,11 +410,8 @@ def cmd_simulate(args) -> int:
         "t_end": t_end,
         "method": args.method,
     }
-    _emit(
-        args,
-        lambda: {**summary, "points": _records(header, rows)},
-        [(header, rows), _summary_section(summary)],
-    )
+    table = _rows_table(header, rows)
+    _emit(args, {**summary, "points": table}, [table, _summary_section(summary)])
     return 0
 
 
@@ -452,11 +441,8 @@ def cmd_spectrum(args) -> int:
         "gap_threshold": spectrum.gap_threshold,
         "merged": spectrum.hydrodynamic is None,
     }
-    _emit(
-        args,
-        lambda: {**summary, "eigenvalues": _records(header, rows)},
-        [(header, rows), _summary_section(summary)],
-    )
+    table = _rows_table(header, rows)
+    _emit(args, {**summary, "eigenvalues": table}, [table, _summary_section(summary)])
     if args.svg:
         _load("svgplot")
         _write_svg(
@@ -497,8 +483,17 @@ def _add_grid_options(sp, points: int, points_help: str) -> None:
     sp.add_argument("--points", type=int, default=points, help=points_help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a failing write of usage, help or version text
+    raises, where argparse would pass over it in silence."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slowmode",
         description=(
             "Slow decay modes of a kinetic relaxation model: dispersion "
@@ -596,13 +591,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command in-process and return its exit code, with its
     output flushed.  Only argparse exits, on usage errors, ``--help``
-    and ``--version``."""
+    and ``--version``, with stdout flushed as well; a failed flush is an
+    I/O error like any other, and the exit code 3."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    # Before numpy loads, which reads it: one OpenBLAS thread runs the
-    # small kinetic matrices faster than several.  A user's value wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
+        args = parser.parse_args(argv)
+        # Before numpy loads, which reads it: one OpenBLAS thread runs the
+        # small kinetic matrices faster than several.  A user's value wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         return args.func(args)
     except SelfCheckError as exc:
         print(f"slowmode: self-check failure: {exc}", file=sys.stderr)
@@ -611,27 +607,43 @@ def main(argv=None) -> int:
         print(f"slowmode: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # Point a stream whose reader has gone at devnull, as the note on
-        # SIGPIPE in the Python signal docs recommends, so a caller that
-        # exits normally cannot fail the interpreter's final flush (exit
-        # 120).
-        if isinstance(exc, BrokenPipeError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _io_error(exc)
+    except SystemExit:
         try:
-            print(f"slowmode: I/O error: {exc}", file=sys.stderr, flush=True)
-        except OSError:  # stderr shares the closed pipe
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
-        return 3
+            sys.stdout.flush()
+        except OSError as exc:
+            raise SystemExit(_io_error(exc)) from None
+        raise
+
+
+def _io_error(exc: OSError) -> int:
+    """Report a failed read or write on stderr; the exit code 3.  A
+    stream whose flush fails still holds its unwritten bytes, and the
+    interpreter's final flush would fail on them again (exit 120), so
+    its descriptor is pointed at devnull, as the note on SIGPIPE in the
+    Python signal docs recommends."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is sys.stderr:
+                print(f"slowmode: I/O error: {exc}", file=stream)
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return 3
 
 
 def console_entry() -> NoReturn:
     """Run ``main`` on the process's arguments and end the process with
     its exit code, skipping interpreter teardown: the final garbage
     collection, module teardown and atexit handlers.  ``main`` has
-    flushed stdout; stderr is flushed here, and a failure to flush it
-    turns success into exit 3.  argparse's own exits and uncaught
-    exceptions leave through the normal path."""
-    code = main()
+    flushed stdout, also before argparse's own exits (usage errors,
+    ``--help``, ``--version``).  stderr is flushed last, and a failure
+    to flush it turns success into exit 3.  Uncaught exceptions leave
+    through the normal path."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     try:
         sys.stderr.flush()
     except OSError:  # a warning never reached a closed stderr

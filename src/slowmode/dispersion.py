@@ -20,11 +20,13 @@ The branch obeys the scaling law  tau lambda_d(k, tau) = F(tau k)  for a
 single universal function F, exposed here as :func:`scaled_eigenvalue`.
 
 :func:`branch_point` is the one branch solve, which every other entry
-point calls: it decides the domain (origin, subnormal, supercritical x),
-takes y from the Halley loop of :func:`slowmode.special.solve_phi` inside
-the closed-form bracket 1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x), and
-self-checks the residual |Z(iy) - i tau k| = |phi(y) - tau k|, reusing
-the solver's phi(y) when the loop already evaluated it.
+point calls, :func:`sample_branch` through this module's attribute: it
+validates k and tau, decides the domain (origin, subnormal,
+supercritical x), takes y from the Halley loop of
+:func:`slowmode.special.solve_phi` inside the closed-form bracket
+1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x), and self-checks the residual
+|Z(iy) - i tau k| = |phi(y) - tau k|, reusing the solver's phi(y) when
+the loop already evaluated it.
 """
 
 import math
@@ -70,7 +72,7 @@ class BranchPoint(NamedTuple):
     near_critical: bool
     #: Width of the final certified Halley bracket (solver detail).
     bracket_width: float
-    #: Passes of the Halley loop, one phi call each (solver detail).
+    #: Passes of the Halley loop, one phi evaluation each (solver detail).
     iterations: int
 
 
@@ -148,14 +150,16 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
             f"dispersion solve at k={k!r}, tau={tau!r} left residual "
             f"{residual!r} > {_RESIDUAL_LIMIT!r}"
         )
+    # Positional: the fields are k, tau, eigenvalue, residual,
+    # near_critical, bracket_width, iterations.
     return BranchPoint(
-        k=k,
-        tau=tau,
-        eigenvalue=(x * y - 1.0) / tau,
-        residual=residual,
-        near_critical=(CRITICAL_COUPLING - x <= NEAR_CRITICAL_WINDOW),
-        bracket_width=width,
-        iterations=iterations,
+        k,
+        tau,
+        (x * y - 1.0) / tau,
+        residual,
+        CRITICAL_COUPLING - x <= NEAR_CRITICAL_WINDOW,
+        width,
+        iterations,
     )
 
 

@@ -19,7 +19,11 @@ private kernel defined beside it (``_erfcx``, ``_phi``).
 c before calling it.  It runs one Halley loop for phi(y) = c inside the
 closed-form bracket that the Mills-ratio bounds on phi give; the
 profile ODE phi'(y) = y phi(y) - 1 supplies phi' and phi'' from each
-phi value, so one phi call buys a third-order step.
+phi value, so one phi evaluation buys a third-order step.  The loop
+evaluates phi at one site, with ``_erfcx``'s erfc-branch arithmetic
+written out in place (the same operations in the same order, so every
+value is bit-identical to ``_phi``'s); only the asymptotic branch,
+y / sqrt(2) > 25, calls ``_erfcx``.
 """
 
 import math
@@ -117,10 +121,25 @@ def solve_phi(c: float) -> tuple[float, float, int, float | None]:
     b = (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c)
     if b < a:
         b = a
-    pa = _phi(a)
-    pb = None  # phi(b), once b is an evaluated point
+    exp, erfc = math.exp, math.erfc
+    z, pa, pb = a, None, None  # pb: phi(b), once b is an evaluated point
     passes = 0
     while True:
+        # phi(z) = sqrt(pi/2) erfcx(u), u = z / sqrt(2): _erfcx inline.
+        u = z * _SQRT_HALF
+        if u <= 25.0:
+            t = 134217729.0 * u  # 2^27 + 1
+            uh = t - (t - u)
+            hi = u * u
+            lo = (uh * uh - hi) + (u - uh) * (u + uh)
+            pz = _SQRT_HALF_PI * (exp(hi) * erfc(u) * (1.0 + lo))
+        else:
+            pz = _SQRT_HALF_PI * _erfcx(u)
+        # The first point is a itself, taken whatever the sign of phi - c.
+        if pz > c or pa is None:
+            a, pa = z, pz
+        else:
+            b, pb = z, pz
         scale = b if b > 1.0 else 1.0
         if b - a <= 4.4e-16 * scale:
             break
@@ -141,11 +160,6 @@ def solve_phi(c: float) -> tuple[float, float, int, float | None]:
             z = b - step
         if not a < z < b:
             break
-        pz = _phi(z)
-        if pz > c:
-            a, pa = z, pz
-        else:
-            b, pb = z, pz
     slope = 1.0 - a * pa
     y = a + (pa - c) / slope if slope > 0.0 else a
     if y <= a:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .ceseries import CeSeries
 from .dispersion import CRITICAL_COUPLING, sample_branch
-from .errors import SelfCheckError, _validate_count, _validate_nonnegative
+from .errors import SelfCheckError, _validate_count
 
 __all__ = [
     "TruncationComparison",
@@ -95,14 +95,22 @@ def _eval_truncation(coefficients: tuple[float, ...], x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"evaluation point must be finite, got {x!r}")
-    t = x * x
-    value = _poly_u(coefficients, t) * t + 0.0  # + 0.0 normalizes -0.0
-    if not math.isfinite(value):
+    return _truncation_column(coefficients, [x])[0]
+
+
+def _truncation_column(coefficients: tuple[float, ...], xs: list[float]) -> tuple[float, ...]:
+    """T(x) = x^2 U(x^2) at each finite x of ``xs``, one :func:`_poly_u`
+    call per point.  Raises ValueError at the first x whose value leaves
+    the double range."""
+    squares = [x * x for x in xs]
+    values = tuple([_poly_u(coefficients, t) * t + 0.0 for t in squares])  # + 0.0 normalizes -0.0
+    if not all(map(math.isfinite, values)):
+        x = next(x for x, value in zip(xs, values) if not math.isfinite(value))
         raise ValueError(
             f"truncation order {len(coefficients)} overflows the double "
             f"range at x = {x!r}"
         )
-    return value
+    return values
 
 
 def _poly_u(coefficients: tuple[float, ...], t: float) -> float:
@@ -178,25 +186,22 @@ def compare_to_exact(x_values, orders, series: CeSeries) -> TruncationComparison
     """Tabulate the truncations of ``series`` against the exact scaled branch.
 
     ``orders`` are validated, deduplicated and sorted here.  The x values
-    are validated, then solved as wave numbers at tau = 1 by
-    :func:`slowmode.dispersion.sample_branch`, which sets the points
-    where the exact branch does not exist (supercritical,
-    x >= sqrt(pi/2)) aside as ``excluded``.
+    are solved as wave numbers at tau = 1 by
+    :func:`slowmode.dispersion.sample_branch`, whose branch solve
+    validates each one and which sets the points where the exact branch
+    does not exist (supercritical, x >= sqrt(pi/2)) aside as
+    ``excluded``.  Each order's column is evaluated in one pass over the
+    kept x values.
     """
     counts = {_validate_count(n, "truncation order", 1, series.order) for n in orders}
     orders = tuple(sorted(counts))
     if not orders:
         raise ValueError("at least one truncation order is required")
     coefficients = {order: _float_coefficients(series, order) for order in orders}
-    xs = [_validate_nonnegative(x, "scaled wave number") for x in x_values]
-    table = sample_branch(1.0, xs)
+    table = sample_branch(1.0, x_values)
     kept = [point.k for point in table.points]
     exact = [point.eigenvalue for point in table.points]
-
-    truncations = {
-        order: tuple(_eval_truncation(coefficients[order], x) for x in kept)
-        for order in orders
-    }
+    truncations = {order: _truncation_column(coefficients[order], kept) for order in orders}
 
     def window_sup(order: int, lo: float, hi: float) -> float | None:
         errors = [

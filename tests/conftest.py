@@ -3,7 +3,9 @@
 The oracles deliberately avoid the package's own algorithms: the erfcx
 reference integrates the defining integral with adaptive quadrature,
 the profile root is re-solved by the Newton--chord loop the package
-used before its Halley loop,
+used before its Halley loop (and the Halley loop itself is kept in the
+layered form it had before phi was written out inside it, as the
+bit-for-bit reference of that rewrite),
 the expansion coefficients are recomputed by series reversion of the
 moment series instead of the profile ODE, and
 the kinetic generator is rebuilt on a Gauss-Hermite velocity grid (the
@@ -99,6 +101,58 @@ def solve_phi_newton_chord(c: float) -> tuple[float, float, int]:
     slope = 1.0 - a * pa
     y = a + (pa - c) / slope if slope > 0.0 else a
     return min(max(y, a), b), b - a, passes
+
+
+def phi_two_call(y: float) -> float:
+    """phi(y) = sqrt(pi/2) erfcx(y / sqrt(2)) through the kernel call
+    ``special._phi`` makes, one layer above ``special._erfcx``."""
+    return math.sqrt(0.5 * math.pi) * slowmode.special._erfcx(y * math.sqrt(0.5))
+
+
+def solve_phi_two_call(c: float) -> tuple[float, float, int, float | None]:
+    """``special.solve_phi`` as it was before phi was written out inside
+    its loop: the same Halley loop, with one ``phi_two_call`` at a and
+    one per pass.  Its 4-tuple is the bit-for-bit reference."""
+    a = 1.0 / c - c
+    if a < 0.0:
+        a = 0.0
+    b = (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c)
+    if b < a:
+        b = a
+    pa = phi_two_call(a)
+    pb = None
+    passes = 0
+    while True:
+        scale = b if b > 1.0 else 1.0
+        if b - a <= 4.4e-16 * scale:
+            break
+        passes += 1
+        if pb is None or pa - c <= c - pb:
+            y, p = a, pa
+        else:
+            y, p = b, pb
+        f = p - c
+        d1 = y * p - 1.0
+        z = y - 2.0 * f * d1 / (2.0 * d1 * d1 - f * (p + y * d1))
+        step = 2.2e-16 * scale
+        if z < a + step:
+            z = a + step
+        elif z > b - step:
+            z = b - step
+        if not a < z < b:
+            break
+        pz = phi_two_call(z)
+        if pz > c:
+            a, pa = z, pz
+        else:
+            b, pb = z, pz
+    slope = 1.0 - a * pa
+    y = a + (pa - c) / slope if slope > 0.0 else a
+    if y <= a:
+        return a, b - a, passes, pa
+    if y >= b:
+        return b, b - a, passes, pb
+    return y, b - a, passes, None
 
 
 # ---------------------------------------------------------------------------

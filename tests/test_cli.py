@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slowmode import a000699, cli, comparison_svg, critical_wave_number, spectrum_svg
+from slowmode import a000699, cli, comparison_svg, critical_wave_number, jsonwriter, spectrum_svg
 
 from conftest import csv_sections, run_cli, run_python, source_env
 
@@ -534,12 +534,12 @@ def test_json_matches_csv(args):
     ids=["branch", "compare"],
 )
 def test_csv_builds_no_json_payload(argv, monkeypatch, capsys):
-    # The JSON document is built only for --format json.
+    # The JSON renderer runs only for --format json.
     def refuse(*args):
-        raise AssertionError("JSON payload built for CSV output")
+        raise AssertionError("JSON rendered for CSV output")
 
-    monkeypatch.setattr(cli, "_records", refuse)
-    monkeypatch.setattr(cli, "_columns", refuse)
+    monkeypatch.setattr(jsonwriter, "json_pieces", refuse)
+    monkeypatch.setattr(cli, "json_pieces", refuse, raising=False)
     assert cli.main(argv) == 0
     assert csv_sections(capsys.readouterr().out)[0][0][0] in ("k", "x")
 
@@ -756,6 +756,57 @@ class TestErrorHandling:
             os.close(stdout)
         assert result.returncode == 3
         assert result.stderr == f"slowmode: I/O error: {failure}\n".encode()
+
+    @staticmethod
+    def run_to_dev_full(args, unbuffered) -> subprocess.CompletedProcess:
+        """A fresh interpreter running ``args`` with stdout on /dev/full."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        try:
+            return subprocess.run(
+                [sys.executable, *args],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                env=cli_env(unbuffered),
+                timeout=300,
+            )
+        finally:
+            os.close(stdout)
+
+    FULL_DEVICE = b"slowmode: I/O error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_in_process_main_on_a_full_device_exits_3(self, unbuffered, fmt):
+        # A caller that exits with main's code: stdout's unwritten bytes
+        # are dropped, so the interpreter's final flush cannot fail again
+        # (exit 120, "Exception ignored ...").
+        script = (
+            "import sys; from slowmode.cli import main; "
+            f"sys.exit(main(['ce', '--order', '5', '--format', '{fmt}']))"
+        )
+        result = self.run_to_dev_full(["-c", script], unbuffered)
+        assert (result.returncode, result.stderr) == (3, self.FULL_DEVICE)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    @pytest.mark.parametrize("caller", ["console", "in-process"])
+    def test_argparse_output_on_a_full_device_exits_3(self, unbuffered, flag, caller):
+        # argparse's own exits get main's stdout flush check, so the CLI
+        # and an in-process caller alike; unbuffered, the failing write
+        # is raised instead of passed over.
+        if caller == "console":
+            args = ["-m", "slowmode.cli", flag]
+        else:
+            args = ["-c", f"import sys; from slowmode.cli import main; sys.exit(main(['{flag}']))"]
+        result = self.run_to_dev_full(args, unbuffered)
+        assert (result.returncode, result.stderr) == (3, self.FULL_DEVICE)
+
+    def test_argparse_output_still_exits_0(self):
+        result = run_cli(["--help"])
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: slowmode")
 
     def test_closed_stderr_after_warning_exits_3(self):
         # The warning cannot reach stderr, whose reader is gone: the

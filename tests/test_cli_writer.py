@@ -1,12 +1,16 @@
 """The CLI's document writer against the renderers it replaced.
 
-``slowmode.cli`` writes CSV from a table of cell types and JSON from
-``json.JSONEncoder.iterencode``, both in batched writes.  The reference
-for CSV is the renderer it replaced: ``csv.writer(lineterminator="\\n")``
-over ``reference_cell``.  The reference for JSON is
-``json.dumps(document, indent=2) + "\\n"``.  Sections are drawn from the
-cells the commands emit: floats of every class, ints, coefficient-sized
-decimal strings, booleans, missing values and header identifiers.
+``slowmode.cli`` renders each table a column at a time, CSV and JSON
+(:mod:`slowmode.jsonwriter`) alike, and writes both in batched writes.
+The reference for CSV is the renderer it replaced:
+``csv.writer(lineterminator="\\n")`` over ``reference_cell``.  The
+reference for JSON is ``json.dumps(document, indent=2) + "\\n"`` with
+each table as its list of records.  Sections are drawn from the cells
+the commands emit: floats of every class, ints, coefficient-sized
+decimal strings, booleans, missing values and header identifiers, in
+columns of one type and of mixed types.  JSON documents take every shape
+the commands emit (scalars, arrays, tables as records, objects of
+arrays, empty arrays and tables) and strings and keys that need escapes.
 """
 
 import csv
@@ -15,10 +19,11 @@ import json
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slowmode import cli
+from slowmode import cli, jsonwriter
 
 #: Header identifiers and status words the commands write.
 IDENTIFIERS = [
@@ -53,16 +58,55 @@ CELLS = st.one_of(
 )
 
 
+#: Cells of a single type, for columns the writer renders with one map.
+KINDS = [
+    st.floats(),
+    st.integers(),
+    CELLS.filter(lambda cell: isinstance(cell, str)),
+    st.booleans(),
+    st.none(),
+]
+
+#: JSON also takes strings and keys that need escapes: quotes,
+#: backslashes, control and non-ASCII characters, and % (the records
+#: template's own marker).
+JSON_CELLS = st.one_of(CELLS, st.text(max_size=8))
+KEYS = st.one_of(st.sampled_from(IDENTIFIERS), st.text(max_size=8))
+
+
 @st.composite
-def sections(draw):
-    """One to three sections, each a header and rows of its width."""
-    drawn = []
-    for _ in range(draw(st.integers(1, 3))):
-        width = draw(st.integers(1, 6))
-        header = draw(st.lists(st.sampled_from(IDENTIFIERS), min_size=width, max_size=width))
-        row = st.lists(CELLS, min_size=width, max_size=width)
-        drawn.append((header, draw(st.lists(row, max_size=40))))
-    return drawn
+def table(draw, cells=CELLS, keys=st.sampled_from(IDENTIFIERS)):
+    """A table of one to six columns, each of one type or mixed.  Header
+    names may repeat: a JSON record, like a dict, keeps one value per
+    key."""
+    width = draw(st.integers(1, 6))
+    header = draw(st.lists(keys, min_size=width, max_size=width))
+    length = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from([cells] + KINDS))
+        columns.append(draw(st.lists(kind, min_size=length, max_size=length)))
+    return cli._Table(header, columns)
+
+
+def sections():
+    """One to three tables."""
+    return st.lists(table(), min_size=1, max_size=3)
+
+
+#: A JSON document of every shape the commands emit.
+JSON_VALUES = st.one_of(
+    JSON_CELLS,
+    st.lists(JSON_CELLS, max_size=40),
+    st.lists(JSON_CELLS, max_size=40).map(tuple),
+    table(JSON_CELLS, KEYS),
+    st.dictionaries(KEYS, st.lists(JSON_CELLS, max_size=10), max_size=4),
+)
+DOCUMENTS = st.dictionaries(KEYS, JSON_VALUES, max_size=8)
+
+
+def rows(table) -> list[tuple]:
+    return list(zip(*table.columns))
 
 
 def reference_cell(value) -> str:
@@ -77,28 +121,33 @@ def reference_cell(value) -> str:
 
 
 def reference_csv(sections) -> str:
-    """Write ``sections = [(header, rows), ...]`` separated by blank lines."""
+    """Write the tables ``sections`` separated by blank lines."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    for index, (header, rows) in enumerate(sections):
+    for index, table in enumerate(sections):
         if index:
             writer.writerow([])
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(table.header)
+        for row in rows(table):
             writer.writerow([reference_cell(v) for v in row])
     return out.getvalue()
 
 
+def plain(value):
+    """The document ``json.dumps`` writes: each table as its records."""
+    if isinstance(value, cli._Table):
+        return [dict(zip(value.header, row)) for row in rows(value)]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return list(value) if isinstance(value, tuple) else value
+
+
 def reference_json(document) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    return json.dumps(plain(document), indent=2) + "\n"
 
 
-def document(sections) -> list:
-    """A JSON document of the drawn sections, as records and as rows."""
-    return [
-        {"header": header, "rows": rows, "records": [dict(zip(header, row)) for row in rows]}
-        for header, rows in sections
-    ]
+def render_json(document) -> list[str]:
+    return render(jsonwriter.json_pieces(document, cli._blocks))
 
 
 class Recorder:
@@ -125,39 +174,101 @@ def assert_batched(writes, text) -> None:
     assert all(len(w) >= cli._WRITE_CHARS for w in writes[:-1])
 
 
-SMALL = {"_BLOCK_ROWS": 3, "_JSON_CHUNKS": 4, "_WRITE_CHARS": 64}
+SMALL = {"_BLOCK_ROWS": 3, "_WRITE_CHARS": 64}
 SHIPPED = {name: getattr(cli, name) for name in SMALL}
 
-
-@settings(
+WRITER_SETTINGS = settings(
     max_examples=300,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+@WRITER_SETTINGS
 @given(sections())
 def test_writer_matches_the_reference_renderers(drawn):
-    # Once as shipped and once with blocks, joins and writes small
-    # enough that the drawn sections cross their boundaries.
+    # Once as shipped and once with blocks and writes small enough that
+    # the drawn sections cross their boundaries.  The sections are also
+    # one JSON document of tables, columns and objects of columns.
+    columns = dict(zip(drawn[0].header, drawn[0].columns))
+    document = {"tables": {f"t{i}": t for i, t in enumerate(drawn)}, "columns": columns}
     for sizes in (SHIPPED, SMALL):
         with mock.patch.multiple(cli, **sizes):
             assert_batched(render(cli._csv_pieces(drawn)), reference_csv(drawn))
-            assert_batched(render(cli._json_pieces(document(drawn))), reference_json(document(drawn)))
+            assert_batched(render_json(document), reference_json(document))
+
+
+@WRITER_SETTINGS
+@given(DOCUMENTS)
+def test_json_matches_the_reference_on_every_shape(document):
+    for sizes in (SHIPPED, SMALL):
+        with mock.patch.multiple(cli, **sizes):
+            assert_batched(render_json(document), reference_json(document))
+
+
+def test_json_edge_documents():
+    # Empty containers, non-finite floats, escapes, a % in a key and a
+    # repeated key, which keeps its first place and its last column.
+    empty = cli._Table(["k", "x"], [(), ()])
+    repeated = cli._Table(["a", "b", "a"], [[1, 4], [2, 5], [3, 6]])
+    escaped = cli._Table(['a"b', "%s", "\u00e9", "tab\t"], [["\n"], ["\\"], ["\x7f"], ["%"]])
+    document = {
+        "empty_table": empty,
+        "empty_list": [],
+        "empty_object": {},
+        "non_finite": [math.nan, math.inf, -math.inf, -0.0],
+        "escaped": escaped,
+        "nested": {"1": (), "2": (None, True, 3)},
+        "repeated": repeated,
+    }
+    text = "".join(render_json(document))
+    assert text == reference_json(document)
+    assert json.loads(text)["repeated"] == [{"a": 3, "b": 2}, {"a": 6, "b": 5}]
+    assert "".join(render_json({})) == "{}\n"
 
 
 def test_writer_batches_a_long_table():
     # Past two CSV blocks and many writes at the shipped sizes.
     header = ["k", "tau_k", "eigenvalue", "residual", "near_critical"]
     rows = [[i / 7, i / 3, -i / 11, None if i % 5 else 1e-17, i % 2 == 0] for i in range(5000)]
-    drawn = [(header, rows), (["tau", "critical_k"], [[1.0, 1.25]]), (["excluded_k"], [[2.0]])]
+    drawn = [
+        cli._rows_table(header, rows),
+        cli._rows_table(["tau", "critical_k"], [[1.0, 1.25]]),
+        cli._Table(["excluded_k"], [[2.0]]),
+    ]
     writes = render(cli._csv_pieces(drawn))
     assert len(writes) > 2
     assert_batched(writes, reference_csv(drawn))
-    writes = render(cli._json_pieces(document(drawn)))
+    document = {"points": drawn[0], "summary": drawn[1], "n": range(5000), "excluded": [2.0]}
+    document["n"] = list(document["n"])
+    writes = render_json(document)
     assert len(writes) > 2
-    assert_batched(writes, reference_json(document(drawn)))
+    assert_batched(writes, reference_json(document))
 
 
 def test_one_empty_cell_is_quoted_like_the_csv_module():
-    drawn = [(["ratio_min"], [[None], [""], [1.0]]), (["x"], [])]
-    assert "".join(render(cli._csv_pieces(drawn))) == reference_csv(drawn) == 'ratio_min\n""\n""\n1.0\n\nx\n'
+    drawn = [cli._Table(["ratio_min"], [[None, "", 1.0]]), cli._Table(["x"], [[]])]
+    expected = 'ratio_min\n""\n""\n1.0\n\nx\n'
+    assert "".join(render(cli._csv_pieces(drawn))) == reference_csv(drawn) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["branch", "--points", "2500"],
+        ["branch", "--kmin", "1.2", "--kmax", "1.3", "--points", "4"],
+        ["branch", "--kmin", "2", "--kmax", "3", "--points", "2"],
+        ["ce", "--order", "30"],
+        ["ce", "--order", "5"],
+        ["compare", "--points", "1500", "--orders", "1,2,3,8"],
+        ["simulate", "--points", "2", "--kmin", "1.2", "--kmax", "1.4", "--velocities", "16"],
+        ["spectrum", "--k", "0.5", "--velocities", "16"],
+    ],
+    ids=" ".join,
+)
+def test_each_command_writes_what_json_dumps_writes(argv, capsys):
+    # The document a command emits, parsed and written again by json.
+    assert cli.main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -1,12 +1,22 @@
 """Special-function layer: erfcx, phi, and plasma Z on the imaginary axis."""
 
 import math
+import struct
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import erfcx_quadrature, phi_mp, phi_root_mp, solve_phi_newton_chord
+from conftest import (
+    erfcx_quadrature,
+    phi_mp,
+    phi_root_mp,
+    phi_two_call,
+    solve_phi_newton_chord,
+    solve_phi_two_call,
+)
 from slowmode import branch_point, erfcx, phi, plasma_z, special
 from slowmode.special import solve_phi
 
@@ -179,28 +189,52 @@ class TestSolvePhi:
 
     @staticmethod
     def count_phi_calls(monkeypatch, solve, xs) -> float:
-        """Mean number of phi kernel calls per ``solve(x)`` over ``xs``."""
+        """Mean number of phi evaluations per ``solve(x)`` over ``xs``.
+
+        Each evaluation is one erfc call, in ``_erfcx`` or in
+        ``solve_phi``'s loop, which share ``special``'s ``math``, or one
+        ``_erfcx`` call on its asymptotic branch, u > 25.
+        """
         calls = 0
-        kernel = special._phi
+        kernel = special._erfcx
 
-        def counting(y):
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def erfc(self, u):
+                nonlocal calls
+                calls += 1
+                return math.erfc(u)
+
+        def asymptotic(u):
             nonlocal calls
-            calls += 1
-            return kernel(y)
+            calls += u > 25.0
+            return kernel(u)
 
-        monkeypatch.setattr(special, "_phi", counting)
+        monkeypatch.setattr(special, "math", CountingMath())
+        monkeypatch.setattr(special, "_erfcx", asymptotic)
         for x in xs:
             solve(x)
         return calls / len(xs)
 
     def test_phi_calls_per_solve(self, monkeypatch):
-        # One call at a, then about four Halley passes of one call each.
+        # One evaluation at a, then about four Halley passes of one each.
         assert self.count_phi_calls(monkeypatch, solve_phi, CALL_GRID) <= 6
 
     def test_phi_calls_per_branch_point(self, monkeypatch):
         # The residual reuses the solver's phi(y) whenever the loop
-        # evaluated y, so it adds well under one call per point.
+        # evaluated y, so it adds well under one evaluation per point.
         assert self.count_phi_calls(monkeypatch, branch_point, CALL_GRID) <= 6
+
+    def test_counting_sees_every_evaluation(self, monkeypatch):
+        # Each pass evaluates phi once, after the evaluation at a; a pass
+        # that moves no end evaluates nothing.  Both branches of erfcx.
+        for c in (0.5, 0.01):
+            _, _, passes, _ = solve_phi(c)
+            calls = self.count_phi_calls(monkeypatch, solve_phi, [c])
+            assert passes <= calls <= passes + 1, c
+            assert calls >= 2, c
 
     def test_phi_y_is_the_kernel_value(self):
         known = 0
@@ -234,3 +268,46 @@ class TestSolvePhi:
             assert (y, passes) == solve_phi_newton_chord(c)[::2]
             assert y == pytest.approx(1.0 / c, rel=1e-9)
 
+
+
+def float_bits(values) -> tuple:
+    """``values`` with every float as its IEEE-754 bytes: equal exactly
+    when bit-identical, signed zeros and NaNs included."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in values)
+
+
+#: The erfcx switch sits at y / sqrt(2) = 25, y = 35.355...
+SWITCH_Y = 25.0 * math.sqrt(2.0)
+
+
+class TestInlinePhiIsBitIdentical:
+    """``solve_phi`` evaluates phi inside its loop with ``_erfcx``'s
+    arithmetic written out; every value must match the two-call kernel
+    and the loop as it was before, bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.floats(0.0, 1e300),
+            st.floats(0.0, 50.0),
+            st.floats(SWITCH_Y - 1e-3, SWITCH_Y + 1e-3),
+            st.sampled_from([0.0, 5e-324, SWITCH_Y, math.nextafter(SWITCH_Y, 99.0), 1e300]),
+        )
+    )
+    def test_phi(self, y):
+        assert float_bits([phi(y), special._phi(y)]) == float_bits([phi_two_call(y)] * 2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.floats(5e-324, SQRT_HALF_PI, exclude_max=True),
+            # The root crosses the erfcx switch near c = 0.028.
+            st.floats(0.02, 0.04),
+            st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True),
+            st.sampled_from(
+                [5e-324, 1e-310, 2.2250738585072014e-308, math.nextafter(SQRT_HALF_PI, 0.0)]
+            ),
+        )
+    )
+    def test_solve_phi(self, c):
+        assert float_bits(solve_phi(c)) == float_bits(solve_phi_two_call(c))

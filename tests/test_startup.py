@@ -5,8 +5,10 @@ at all.
 Layers load on first use.  ``import slowmode`` binds only
 ``__version__``, and ``import slowmode.cli`` adds only
 :mod:`slowmode.errors`; each command imports its own layers when it
-runs, :mod:`json` only for JSON output (CSV is written without
-:mod:`csv`), and :mod:`logging` only to emit a warning.  A command
+runs, its JSON writer :mod:`slowmode.jsonwriter` only for JSON output,
+:mod:`json` only for a JSON string that needs an escape (the commands'
+strings need none, and CSV is written without :mod:`csv`), and
+:mod:`logging` only to emit a warning.  A command
 binds at ``slowmode.cli`` every name in its layers' ``__all__``, the one
 list of what a layer exports.  Every such name is readable there before
 any command has run, as the layer's own object, without a dunder probe
@@ -81,6 +83,7 @@ CHECKS = {
             "slowmode.truncation",
             "slowmode.kinetic",
             "slowmode.svgplot",
+            "slowmode.jsonwriter",
         }
         assert not skipped & set(sys.modules), skipped & set(sys.modules)
         assert "slowmode.dispersion" in sys.modules
@@ -93,7 +96,17 @@ CHECKS = {
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main([*argv, "--format", "json"]) == 0, argv
         assert "csv" not in sys.modules
-        assert "json" in sys.modules
+    """,
+    "json_output_skips_json": """
+        import contextlib, io, sys
+        from slowmode.cli import main
+
+        for argv in (["branch", "--points", "3"], ["ce", "--order", "5"], ["compare"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main([*argv, "--format", "json"]) == 0, argv
+            assert out.getvalue().startswith("{"), argv
+        assert "json" not in sys.modules
+        assert "slowmode.jsonwriter" in sys.modules
     """,
     "light_commands_skip_numpy": """
         import contextlib, io, sys
