@@ -418,10 +418,9 @@ def cmd_simulate(args) -> int:
 def cmd_spectrum(args) -> int:
     _load("kinetic")
     tau = _validate_positive(args.tau, "--tau")
-    k = _validate_nonnegative(args.k, "wave number k")
     if args.gap_threshold is not None:
         _validate_positive(args.gap_threshold, "gap threshold")
-    op = build_operator(k, tau, args.velocities)
+    op = build_operator(args.k, tau, args.velocities)
     spectrum = operator_spectrum(op, gap_threshold=args.gap_threshold)
     header = ["re", "im", "hydrodynamic"]
     rows = [
@@ -434,7 +433,7 @@ def cmd_spectrum(args) -> int:
     ]
     summary = {
         "tau": tau,
-        "k": k,
+        "k": op.k,
         "velocities": args.velocities,
         "essential_rate": spectrum.essential_rate,
         "gap": spectrum.gap,
@@ -461,28 +460,6 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_output_options(sp) -> None:
-    sp.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    sp.add_argument(
-        "--out", default="-", help="output path, or - for stdout (default)"
-    )
-
-
-def _add_grid_options(sp, points: int, points_help: str) -> None:
-    """--tau and the wave-number grid of ``branch`` and ``simulate``."""
-    sp.add_argument("--tau", type=float, default=1.0, help="relaxation time")
-    sp.add_argument("--kmin", type=float, default=0.0, help="grid start (default 0)")
-    sp.add_argument(
-        "--kmax",
-        type=float,
-        default=None,
-        help="grid end, exclusive (default: the critical wave number)",
-    )
-    sp.add_argument("--points", type=int, default=points, help=points_help)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse, but a failing write of usage, help or version text
     raises, where argparse would pass over it in silence."""
@@ -490,6 +467,64 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message, file=None):
         if message:
             (file or sys.stderr).write(message)
+
+
+#: Each flag's argparse settings; ``--points`` takes its default and
+#: help from its command.
+_FLAGS = {
+    "--tau": dict(type=float, default=1.0, help="relaxation time"),
+    "--kmin": dict(type=float, default=0.0, help="grid start (default 0)"),
+    "--kmax": dict(type=float, help="grid end, exclusive (default: the critical wave number)"),
+    "--points": dict(type=int),
+    "--order": dict(type=int, default=30, help="expansion order (default 30)"),
+    "--orders": dict(
+        default="1,2,3,4", help="comma-separated truncation orders (default 1,2,3,4)"
+    ),
+    "--k": dict(type=float, required=True, help="wave number"),
+    "--velocities": dict(type=int, default=64, help="velocity grid size (default 64)"),
+    "--t-end": dict(type=float, help="integration horizon (default 40 tau)"),
+    "--dt": dict(type=float, help="time step (default: auto-stable)"),
+    "--method": dict(
+        choices=("rk4", "expm"), default="rk4", help="integration route (default rk4)"
+    ),
+    "--gap-threshold": dict(
+        type=float, help="isolation gap for the slow mode (default 0.1/tau)"
+    ),
+    "--svg": dict(help="also write an SVG figure here"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
+    "--out": dict(default="-", help="output path, or - for stdout (default)"),
+}
+
+#: Each command's handler, help, flags in help order, and the default
+#: and help of its ``--points``.  ``--format`` and ``--out`` close every
+#: command.
+_COMMANDS = {
+    "branch": (
+        cmd_branch,
+        "sample the slow decay branch over a wave-number grid",
+        "--tau --kmin --kmax --points",
+        dict(default=200, help="grid size (default 200)"),
+    ),
+    "ce": (cmd_ce, "exact expansion coefficients with growth diagnostics", "--order", {}),
+    "compare": (
+        cmd_compare,
+        "truncations versus the exact scaled branch",
+        "--tau --points --orders --svg",
+        dict(default=200, help="grid size on [0, critical) (default 200)"),
+    ),
+    "simulate": (
+        cmd_simulate,
+        "kinetic decay simulation versus the dispersion solver",
+        "--tau --kmin --kmax --points --velocities --t-end --dt --method",
+        dict(default=8, help="grid size (default 8; each point runs one simulation)"),
+    ),
+    "spectrum": (
+        cmd_spectrum,
+        "eigenvalues of the discrete generator",
+        "--tau --k --velocities --gap-threshold --svg",
+        {},
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -509,82 +544,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sp = subparsers.add_parser(
-        "branch", help="sample the slow decay branch over a wave-number grid"
-    )
-    _add_grid_options(sp, 200, "grid size (default 200)")
-    _add_output_options(sp)
-    sp.set_defaults(func=cmd_branch)
-
-    sp = subparsers.add_parser(
-        "ce", help="exact expansion coefficients with growth diagnostics"
-    )
-    sp.add_argument(
-        "--order", type=int, default=30, help="expansion order (default 30)"
-    )
-    _add_output_options(sp)
-    sp.set_defaults(func=cmd_ce)
-
-    sp = subparsers.add_parser(
-        "compare", help="truncations versus the exact scaled branch"
-    )
-    sp.add_argument("--tau", type=float, default=1.0, help="relaxation time")
-    sp.add_argument(
-        "--points",
-        type=int,
-        default=200,
-        help="grid size on [0, critical) (default 200)",
-    )
-    sp.add_argument(
-        "--orders",
-        default="1,2,3,4",
-        help="comma-separated truncation orders (default 1,2,3,4)",
-    )
-    sp.add_argument("--svg", default=None, help="also write an SVG figure here")
-    _add_output_options(sp)
-    sp.set_defaults(func=cmd_compare)
-
-    sp = subparsers.add_parser(
-        "simulate", help="kinetic decay simulation versus the dispersion solver"
-    )
-    _add_grid_options(sp, 8, "grid size (default 8; each point runs one simulation)")
-    sp.add_argument(
-        "--velocities", type=int, default=64, help="velocity grid size (default 64)"
-    )
-    sp.add_argument(
-        "--t-end", type=float, default=None, help="integration horizon (default 40 tau)"
-    )
-    sp.add_argument(
-        "--dt", type=float, default=None, help="time step (default: auto-stable)"
-    )
-    sp.add_argument(
-        "--method",
-        choices=("rk4", "expm"),
-        default="rk4",
-        help="integration route (default rk4)",
-    )
-    _add_output_options(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = subparsers.add_parser(
-        "spectrum", help="eigenvalues of the discrete generator"
-    )
-    sp.add_argument("--tau", type=float, default=1.0, help="relaxation time")
-    sp.add_argument("--k", type=float, required=True, help="wave number")
-    sp.add_argument(
-        "--velocities", type=int, default=64, help="velocity grid size (default 64)"
-    )
-    sp.add_argument(
-        "--gap-threshold",
-        type=float,
-        default=None,
-        help="isolation gap for the slow mode (default 0.1/tau)",
-    )
-    sp.add_argument("--svg", default=None, help="also write an SVG figure here")
-    _add_output_options(sp)
-    sp.set_defaults(func=cmd_spectrum)
-
+    for command, (func, text, flags, points) in _COMMANDS.items():
+        sp = subparsers.add_parser(command, help=text)
+        for flag in f"{flags} --format --out".split():
+            sp.add_argument(flag, **_FLAGS[flag], **(points if flag == "--points" else {}))
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -88,10 +88,7 @@ def eval_truncation(series: CeSeries, order: int, x: float) -> float:
 
     Raises ValueError when the value leaves the double range.
     """
-    return _eval_truncation(_float_coefficients(series, order), x)
-
-
-def _eval_truncation(coefficients: tuple[float, ...], x: float) -> float:
+    coefficients = _float_coefficients(series, order)
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"evaluation point must be finite, got {x!r}")

@@ -544,6 +544,46 @@ def test_csv_builds_no_json_payload(argv, monkeypatch, capsys):
     assert csv_sections(capsys.readouterr().out)[0][0][0] in ("k", "x")
 
 
+#: Each command's namespace when given only its required flags.
+OUTPUT_DEFAULTS = {"format": "csv", "out": "-"}
+GRID_DEFAULTS = {"tau": 1.0, "kmin": 0.0, "kmax": None}
+PARSED_DEFAULTS = {
+    ("branch",): {"func": cli.cmd_branch, **GRID_DEFAULTS, "points": 200},
+    ("ce",): {"func": cli.cmd_ce, "order": 30},
+    ("compare",): {
+        "func": cli.cmd_compare,
+        "tau": 1.0,
+        "points": 200,
+        "orders": "1,2,3,4",
+        "svg": None,
+    },
+    ("simulate",): {
+        "func": cli.cmd_simulate,
+        **GRID_DEFAULTS,
+        "points": 8,
+        "velocities": 64,
+        "t_end": None,
+        "dt": None,
+        "method": "rk4",
+    },
+    ("spectrum", "--k", "0.5"): {
+        "func": cli.cmd_spectrum,
+        "tau": 1.0,
+        "k": 0.5,
+        "velocities": 64,
+        "gap_threshold": None,
+        "svg": None,
+    },
+}
+
+
+@pytest.mark.parametrize("argv", PARSED_DEFAULTS, ids=lambda argv: argv[0])
+def test_parser_defaults(argv):
+    # Values, not help text, which differs between Python versions.
+    parsed = vars(cli._build_parser().parse_args(list(argv)))
+    assert parsed == {"command": argv[0], **PARSED_DEFAULTS[argv], **OUTPUT_DEFAULTS}
+
+
 #: A grid past the critical wave number: no branch point, one warning.
 EMPTY_BRANCH = ["branch", "--kmin", "2", "--kmax", "3", "--points", "3"]
 EMPTY_BRANCH_WARNING = (
@@ -695,7 +735,9 @@ class TestErrorHandling:
             assert noise not in result.stderr
 
     def test_missing_required_argument_exits_2(self):
-        assert run_cli(["spectrum"]).returncode == 2
+        result = run_cli(["spectrum"])
+        assert result.returncode == 2
+        assert "the following arguments are required: --k" in result.stderr
 
     def test_unknown_format_exits_2(self):
         assert run_cli(["ce", "--format", "yaml"]).returncode == 2

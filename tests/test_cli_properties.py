@@ -6,6 +6,7 @@ argparse must exit with 2), no other exception may escape, and every
 successful JSON document must be standard JSON: no NaN, no Infinity.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slowmode.cli import main
+from slowmode.cli import _build_parser, main
 
 FLOATS = [
     "nan",
@@ -63,6 +64,29 @@ FLAGS = {
         "gap-threshold": FLOATS,
     },
 }
+
+
+#: Value-taking flags with no pool: output paths, not numbers to break.
+UNPOOLED = {"format", "out", "svg"}
+
+
+def test_flag_pools_track_the_parser():
+    # A flag added to a command must get a pool of hostile values here.
+    subparsers = next(
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    declared = {
+        command: {
+            action.option_strings[0][2:]
+            for action in parser._actions
+            if action.option_strings and action.nargs != 0
+        }
+        - UNPOOLED
+        for command, parser in subparsers.choices.items()
+    }
+    assert declared == {command: set(pool) for command, pool in FLAGS.items()}
 
 
 @st.composite
