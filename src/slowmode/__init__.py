@@ -4,8 +4,8 @@ The package studies the linear kinetic equation
 df/dt + v df/dx = (rho M - f)/tau around a global Gaussian equilibrium:
 
 * :mod:`slowmode.special` -- the underlying special functions (scaled
-  complementary error function, the dispersion profile phi, and the
-  plasma dispersion function on the imaginary axis).
+  complementary error function, the dispersion profile phi and its
+  root solver).
 * :mod:`slowmode.dispersion` -- the isolated slow decay branch
   lambda_d(k, tau), its critical wave number sqrt(pi/2)/tau, and the
   scaling law tau lambda_d = F(tau k).

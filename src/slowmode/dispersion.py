@@ -25,8 +25,8 @@ validates k and tau, decides the domain (origin, subnormal,
 supercritical x), takes y from the Halley loop of
 :func:`slowmode.special.solve_phi` inside the closed-form bracket
 1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x), and self-checks the residual
-|Z(iy) - i tau k| = |phi(y) - tau k|, reusing the solver's phi(y) when
-the loop already evaluated it.
+|phi(y) - tau k|, reusing the solver's phi(y) when the loop already
+evaluated it.
 """
 
 import math
@@ -66,8 +66,9 @@ class BranchPoint(NamedTuple):
     k: float
     tau: float
     eigenvalue: float
-    #: |Z(i (tau lambda + 1)/(tau k)) - i tau k|, the dispersion-relation
-    #: defect of the returned eigenvalue (0.0 by convention at k = 0).
+    #: |phi(y) - tau k| at y = (tau lambda + 1)/(tau k), the
+    #: dispersion-relation defect of the returned eigenvalue (0.0 by
+    #: convention at k = 0).
     residual: float
     near_critical: bool
     #: Width of the final certified Halley bracket (solver detail).
@@ -142,8 +143,6 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
     if x >= CRITICAL_COUPLING:
         return None
     y, width, iterations, phi_y = solve_phi(x)
-    # Z(iy) = i phi(y) for y >= 0, so |phi(y) - x| is the residual
-    # |Z(iy) - i x| bit for bit.
     residual = abs((phi(y) if phi_y is None else phi_y) - x)
     if residual > _RESIDUAL_LIMIT:
         raise SelfCheckError(

@@ -5,16 +5,11 @@ Public scalar functions, all double precision:
 * :func:`erfcx` -- scaled complementary error function on [0, inf).
 * :func:`phi` -- phi(y) = Im Z(iy) = sqrt(pi/2) erfcx(y / sqrt(2)), the
   strictly decreasing profile whose root locates the slow decay mode.
-* :func:`plasma_z` -- the plasma dispersion function Z on the imaginary
-  axis, where Z(iy) = i phi(y) for y >= 0 and its continuation
-  i [2 sqrt(pi/2) exp(y^2/2) - phi(-y)] for y < 0.
 
-Numerical contract: relative accuracy ~1e-15 for erfcx and phi;
-``plasma_z`` arguments whose exact value overflows double precision
-(y below about -37.6) raise :class:`OverflowError`.
+Numerical contract: relative accuracy ~1e-15 for erfcx and phi.
 
-Each public function validates its argument and then calls an unchecked
-private kernel defined beside it (``_erfcx``, ``_phi``).
+Each public function validates its argument and then calls the one
+unchecked kernel, ``_erfcx``.
 :func:`solve_phi` is unchecked too; :mod:`slowmode.dispersion` validates
 c before calling it.  It runs one Halley loop for phi(y) = c inside the
 closed-form bracket that the Mills-ratio bounds on phi give; the
@@ -22,7 +17,7 @@ profile ODE phi'(y) = y phi(y) - 1 supplies phi' and phi'' from each
 phi value, so one phi evaluation buys a third-order step.  The loop
 evaluates phi at one site, with ``_erfcx``'s erfc-branch arithmetic
 written out in place (the same operations in the same order, so every
-value is bit-identical to ``_phi``'s); only the asymptotic branch,
+value is bit-identical to :func:`phi`'s); only the asymptotic branch,
 y / sqrt(2) > 25, calls ``_erfcx``.
 """
 
@@ -30,14 +25,11 @@ import math
 
 from .errors import _validate_nonnegative
 
-__all__ = ["erfcx", "phi", "plasma_z"]
+__all__ = ["erfcx", "phi"]
 
 _ISQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
-
-# ln(largest double); 2 exp(u) with u above this overflows.
-_EXP_LIMIT = 709.0
 
 
 def _erfcx(y: float) -> float:
@@ -83,18 +75,13 @@ def erfcx(y: float) -> float:
     return _erfcx(_validate_nonnegative(y, "erfcx argument"))
 
 
-def _phi(y: float) -> float:
-    """phi(y) = sqrt(pi/2) erfcx(y / sqrt(2)) for y >= 0."""
-    return _SQRT_HALF_PI * _erfcx(y * _SQRT_HALF)
-
-
 def phi(y: float) -> float:
     """Profile phi(y) = Im Z(iy) = sqrt(pi/2) erfcx(y / sqrt(2)), y >= 0.
 
     Strictly decreasing from phi(0) = sqrt(pi/2) to 0; the slow decay
     mode at scaled wave number x solves phi(y) = x.
     """
-    return _phi(_validate_nonnegative(y, "phi argument"))
+    return _SQRT_HALF_PI * _erfcx(_validate_nonnegative(y, "phi argument") * _SQRT_HALF)
 
 
 def solve_phi(c: float) -> tuple[float, float, int, float | None]:
@@ -167,37 +154,3 @@ def solve_phi(c: float) -> tuple[float, float, int, float | None]:
     if y >= b:
         return b, b - a, passes, pb
     return y, b - a, passes, None
-
-
-def plasma_z(zeta: complex) -> complex:
-    """Plasma dispersion function Z(zeta) on the imaginary axis.
-
-    Z(zeta) is the resolvent integral (1/sqrt(2 pi)) * integral of
-    exp(-v^2/2) / (v - zeta) dv for Im zeta > 0, continued to an entire
-    function.  Only arguments zeta = iy are accepted; Z is computed
-    through erfcx, so its real part is exactly zero:
-    Z(iy) = i phi(y) for y >= 0 and
-    Z(iy) = i [2 sqrt(pi/2) exp(y^2/2) - phi(-y)] for y < 0.
-
-    Raises :class:`ValueError` for a non-finite argument or one off the
-    imaginary axis, and :class:`OverflowError` once exp(y^2/2) leaves
-    double range.
-    """
-    zeta = complex(zeta)
-    if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
-        raise ValueError(f"plasma_z argument must be finite, got {zeta!r}")
-    if zeta.real != 0.0:
-        raise ValueError(
-            f"plasma_z argument must lie on the imaginary axis, got {zeta!r}"
-        )
-    y = zeta.imag
-    if y >= 0.0:
-        return complex(0.0, _phi(y))
-    if 0.5 * y * y > _EXP_LIMIT:
-        raise OverflowError(
-            f"plasma_z({zeta!r}) exceeds double precision range"
-        )
-    return complex(
-        0.0,
-        2.0 * _SQRT_HALF_PI * math.exp(0.5 * y * y) - _phi(-y),
-    )

@@ -17,6 +17,11 @@ extended precision instead of through the split step index, and the
 expm trace from a Taylor-series propagator on the node grid in extended
 precision instead of an eigensolver, so agreement is evidence, not
 circularity.
+
+``plasma_z``, the plasma dispersion function on the imaginary axis that
+the package no longer exports, is kept here on the package's phi: the
+tests check it against mpmath on both halves of the axis, its
+continuation to y < 0 included.
 """
 
 import functools
@@ -71,6 +76,44 @@ def phi_root_mp(c: float, start: float, dps: int = 50):
         return mpmath.findroot(lambda y: phi_mp(y) - c, mpmath.mpf(start))
 
 
+# ln(largest double); 2 exp(u) with u above this overflows.
+EXP_LIMIT = 709.0
+
+
+def plasma_z(zeta: complex) -> complex:
+    """Plasma dispersion function Z(zeta) on the imaginary axis.
+
+    Z(zeta) is the resolvent integral (1/sqrt(2 pi)) * integral of
+    exp(-v^2/2) / (v - zeta) dv for Im zeta > 0, continued to an entire
+    function.  Only arguments zeta = iy are accepted; Z is computed
+    through erfcx, so its real part is exactly zero:
+    Z(iy) = i phi(y) for y >= 0 and
+    Z(iy) = i [2 sqrt(pi/2) exp(y^2/2) - phi(-y)] for y < 0.
+
+    Raises :class:`ValueError` for a non-finite argument or one off the
+    imaginary axis, and :class:`OverflowError` once exp(y^2/2) leaves
+    double range.
+    """
+    zeta = complex(zeta)
+    if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
+        raise ValueError(f"plasma_z argument must be finite, got {zeta!r}")
+    if zeta.real != 0.0:
+        raise ValueError(
+            f"plasma_z argument must lie on the imaginary axis, got {zeta!r}"
+        )
+    y = zeta.imag
+    if y >= 0.0:
+        return complex(0.0, slowmode.phi(y))
+    if 0.5 * y * y > EXP_LIMIT:
+        raise OverflowError(
+            f"plasma_z({zeta!r}) exceeds double precision range"
+        )
+    return complex(
+        0.0,
+        2.0 * math.sqrt(0.5 * math.pi) * math.exp(0.5 * y * y) - slowmode.phi(-y),
+    )
+
+
 def solve_phi_newton_chord(c: float) -> tuple[float, float, int]:
     """Root of phi(y) = c by the Newton--chord loop ``special.solve_phi``
     ran before its Halley loop: ``(y, bracket_width, loop_passes)``.
@@ -79,7 +122,7 @@ def solve_phi_newton_chord(c: float) -> tuple[float, float, int]:
     step from a (slope a phi(a) - 1) and the chord through (a, b), each
     replacing the end its sign picks, and y is a final Newton step from a.
     """
-    phi = slowmode.special._phi
+    phi = slowmode.phi
     a = max(0.0, 1.0 / c - c)
     b = max(a, (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c))
     pa, pb = phi(a), phi(b)
@@ -105,7 +148,7 @@ def solve_phi_newton_chord(c: float) -> tuple[float, float, int]:
 
 def phi_two_call(y: float) -> float:
     """phi(y) = sqrt(pi/2) erfcx(y / sqrt(2)) through the kernel call
-    ``special._phi`` makes, one layer above ``special._erfcx``."""
+    ``special.phi`` makes, one layer above ``special._erfcx``."""
     return math.sqrt(0.5 * math.pi) * slowmode.special._erfcx(y * math.sqrt(0.5))
 
 

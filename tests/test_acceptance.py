@@ -25,7 +25,6 @@ from slowmode import (
     eval_truncation,
     operator_spectrum,
     phi,
-    plasma_z,
     scaled_eigenvalue,
     simulate_decay,
     solve_diffusion_mode,
@@ -35,6 +34,7 @@ from conftest import (
     csv_sections,
     erfcx_quadrature,
     newton_oracle,
+    plasma_z,
     run_cli,
 )
 

@@ -95,7 +95,6 @@ PARAMETERS = {
     "gap_threshold": SCALARS,
     "critical_x": SCALARS,
     "essential_rate": SCALARS,
-    "zeta": SCALARS | st.sampled_from([1j, -1j, -40j, 1e308j, complex(0, math.nan)]),
     "hydrodynamic": st.none() | SCALARS | st.sampled_from([-0.2 + 0j, 0.1j]),
     "method": SCALARS | st.sampled_from(["rk4", "expm", "euler"]),
     "series": series,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import slowmode
-from conftest import erfcx_quadrature, phi_root_mp
+from conftest import erfcx_quadrature, phi_root_mp, plasma_z
 from slowmode import (
     CRITICAL_COUPLING,
     SelfCheckError,
@@ -18,7 +18,6 @@ from slowmode import (
     ce_coefficients,
     compare_to_exact,
     critical_wave_number,
-    plasma_z,
     sample_branch,
     scaled_eigenvalue,
     solve_diffusion_mode,
@@ -247,7 +246,8 @@ class TestBranchPoint:
 
     def test_residual_is_the_plasma_z_defect(self):
         # Reusing the solver's phi(y) must give exactly the documented
-        # |Z(iy) - i tau k| at the solver's y, including both ends of the
+        # |phi(y) - tau k|, which is |Z(iy) - i tau k| from the oracle,
+        # at the solver's y, including both ends of the
         # domain: y -> 0 near critical, and the bracket at resolution.
         xs = [CRITICAL_COUPLING * (i + 0.5) / 2000 for i in range(2000)]
         xs += [1e-4 * 10.0 ** (i / 25) for i in range(100)]

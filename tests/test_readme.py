@@ -1,10 +1,14 @@
-"""README's library quick start prints what the README shows."""
+"""README's library quick start prints what the README shows, and its
+entry-point table names every public function."""
 
 import doctest
+import inspect
 import pathlib
+import re
 
 import pytest
 
+import slowmode
 from slowmode import kinetic
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -43,3 +47,11 @@ def test_kinetic_quick_start_lines_match_to_1e_12():
         else:
             exec(example.source, namespace)
     assert checked >= 2
+
+
+def test_entry_point_table_names_every_public_function():
+    section = README.read_text(encoding="utf-8").split("Main entry points", 1)[1]
+    rows = section.split("\n\n", 2)[1].splitlines()[2:]
+    named = {name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    public = {name for name in slowmode.__all__ if inspect.isfunction(getattr(slowmode, name))}
+    assert named == public

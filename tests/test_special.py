@@ -14,10 +14,11 @@ from conftest import (
     phi_mp,
     phi_root_mp,
     phi_two_call,
+    plasma_z,
     solve_phi_newton_chord,
     solve_phi_two_call,
 )
-from slowmode import branch_point, erfcx, phi, plasma_z, special
+from slowmode import branch_point, erfcx, phi, special
 from slowmode.special import solve_phi
 
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -242,7 +243,7 @@ class TestSolvePhi:
             y, _, _, phi_y = solve_phi(c)
             if phi_y is not None:
                 known += 1
-                assert phi_y == special._phi(y), c
+                assert phi_y == phi(y), c
         assert known >= len(SOLVE_GRID + CALL_GRID) // 2
 
     def test_agrees_with_newton_chord_oracle(self):
@@ -295,7 +296,7 @@ class TestInlinePhiIsBitIdentical:
         )
     )
     def test_phi(self, y):
-        assert float_bits([phi(y), special._phi(y)]) == float_bits([phi_two_call(y)] * 2)
+        assert float_bits([phi(y)]) == float_bits([phi_two_call(y)])
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
