@@ -28,7 +28,10 @@ The operator's spectrum consists of a cluster of modes approximating the
 continuum at Re = -1/tau plus, for tau k < sqrt(pi/2), one isolated real
 eigenvalue converging spectrally (in q) to the slow decay rate from
 :mod:`slowmode.dispersion`.  Time integration of the density trace
-therefore measures the decay rate a closure should reproduce.
+therefore measures the decay rate a closure should reproduce.  Both
+integrators, RK4 and the exact exponential, step with a Taylor
+polynomial of the propagator squared up from a short step, so only
+``operator_spectrum`` calls an eigensolver.
 
 This is the one layer that needs numpy.  Each function imports it in its
 own body, so importing the module, and every refusal made before the
@@ -202,6 +205,19 @@ def _default_dt(op: DiscreteOperator) -> float:
     return min(0.01 * op.tau, 1.0 / rate)
 
 
+def _square(y: np.ndarray) -> np.ndarray:
+    """2Y + Y^2, the Y of P^2 = I + 2Y + Y^2 for P = I + Y, with every
+    entry below 2^-500 max|Y| set to zero.
+
+    The dropped entries move Y by at most q 2^-500 max|Y| in norm, far
+    below one rounding, and keep the operands of the next squaring
+    clear of subnormal numbers, which slow the product several-fold.
+    """
+    y = 2.0 * y + y @ y
+    y[abs(y) < math.ldexp(float(abs(y).max()), -500)] = 0.0
+    return y
+
+
 def simulate_density(
     op: DiscreteOperator,
     t_end: float | None = None,
@@ -211,28 +227,32 @@ def simulate_density(
     """Density trace rho(t) = e^T g(t) from g(0) = e, as float64, with
     e = ``op.density_vector``.
 
-    Both routes split each step index as n = a + m b with m the smallest
-    power of two such that m^2 exceeds the step count, so rho_n is the
-    product of a head row (a < m) and a tail row (b < m): about 2 m
-    vector products and a few matrix products instead of one vector
-    product per step.
+    Both methods step with one fixed matrix P = I + Y, with Y the
+    degree-d Taylor polynomial of exp(hT) less the identity,
+    Y = hT(I + hT/2(I + ... (I + hT/d))), built in Horner form and then
+    squared s times as Y <- 2Y + Y^2, so that P is I + Y at
+    dt = 2^s h.  With the identity kept out of every product, rounding
+    does not compound as it does under plain repeated squaring of P.
 
-    ``method="rk4"``: T is constant, so a classical RK4 step is the fixed
-    matrix P = I + Y with Y = hT(I + hT/2(I + hT/3(I + hT/4))), h = dt,
-    built once in Horner form without the identity.  The exact flow is
-    non-expansive, so ||P||_2 > 1 + 1e-9 raises ValueError ("reduce
-    dt"); that one check covers every state.  The head rows are
-    e^T P^a, stepped as r + r Y; the tail rows are P^(m b) e, stepped
-    by P^m = I + Y_m, where Y_m comes from Y by log2(m) squarings
-    Y <- 2Y + Y^2.  With the identity kept out of every product,
-    rounding does not compound as it does under plain repeated
-    squaring of P.  ``method="expm"`` evaluates the exponential through
-    the eigendecomposition of T, as the tables exp(lam t_a) and
-    exp(lam t_(m b)) with Re lam clamped to <= 0, and keeps the real
-    part of the result; it shares no time-stepping error with RK4, and
-    the two agree to ~1e-8.  A non-finite table raises ValueError, as
-    do a last step past the double range and, before any allocation,
-    more than 2**24 steps x nodes.
+    ``method="rk4"`` is d = 4 at h = dt, the classical RK4 step.  The
+    exact flow is non-expansive, so ||P||_2 > 1 + 1e-9 raises
+    ValueError ("reduce dt"); that one check covers every state.
+    ``method="expm"`` is the exponential itself, by scaling and squaring
+    (Moler and Van Loan, SIAM Rev. 45 (2003) 3): s brings ||hT||_1 into
+    [1/8, 1/2), or is 0 when ||dt T||_1 is below that already, and d is
+    the first degree whose Taylor remainder bound falls below 2^-53.
+    It shares no time-stepping error with RK4, and the two agree to
+    ~1e-8; any dt and t_end in the double range give a finite trace.
+
+    Each step index is then split as n = a + m b with m the smallest
+    power of two such that m^2 exceeds the step count, so rho_n is the
+    product of a head row e^T P^a (a < m), stepped as r + r Y, and a
+    tail row P^(m b) e, stepped by P^m = I + Y_m with Y_m from
+    log2(m) more squarings: about 2 m vector products and a few matrix
+    products instead of one vector product per step.  Every squaring
+    drops the entries below 2^-500 max|Y| (see ``_square``).  A last
+    step past the double range raises ValueError, as do, before any
+    allocation, more than 2**24 steps x nodes.
     """
     import numpy as np
 
@@ -261,55 +281,54 @@ def simulate_density(
         raise ValueError(f"{steps} steps of dt = {dt!r} end past the double range")
     times = np.linspace(0.0, steps * dt, steps + 1)
 
-    m = 2
-    while m * m < steps + 1:
-        m *= 2
+    # The least power of two m >= 2 with m^2 > steps: 2^L > steps >= 2^(L-1)
+    # for L = steps.bit_length().
+    m = 1 << max(1, (steps.bit_length() + 1) // 2)
 
-    s = op.density_vector
+    degree, squarings = 4, 0
     if method == "expm":
-        lam, vectors = np.linalg.eig(op.matrix)
-        # T's symmetric part is negative semidefinite, so Re lam <= 0; a
-        # positive real part is roundoff, which exp(lam t) would grow.
-        lam.real[lam.real > 0.0] = 0.0
-        amplitudes = np.linalg.solve(vectors, s)
-        weights = vectors.T @ s  # row of e^T V
-        with np.errstate(over="ignore", invalid="ignore"):
-            head = np.exp(np.outer(times[:m], lam)) * (weights * amplitudes)
-            tail = np.exp(np.outer(times[::m], lam))
-        if not (np.isfinite(head).all() and np.isfinite(tail).all()):
-            raise ValueError(f"t_end = {t_end!r} is too long: exp(lam t) is not finite")
-    elif method == "rk4":
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = (dt / 4.0) * op.matrix
-            for j in (3.0, 2.0, 1.0):
-                c = (dt / j) * op.matrix
-                y = c + c @ y
-            p = np.eye(q) + y
-            gram = p.T @ p
+        # ||dt T||_1 = 4 dt quarter < 2^(e_dt + e_quarter + 2) by frexp,
+        # which neither overflows nor rounds; so theta = ||hT||_1 < 1/2.
+        quarter = float(abs(0.25 * op.matrix).sum(axis=0).max())
+        squarings = max(0, math.frexp(dt)[1] + math.frexp(quarter)[1] + 3)
+        theta = 4.0 * quarter * math.ldexp(dt, -squarings)
+        # With theta < 1/2 the remainder past degree d = n - 1 is below
+        # theta^n/n! / (1 - theta/(n+1)) < 2 theta^n/n!.
+        degree = next(n for n in range(2, 64) if theta**n < math.ldexp(math.factorial(n), -54)) - 1
+    elif method != "rk4":
+        raise ValueError(f"unknown integration method {method!r}")
+    h = math.ldexp(dt, -squarings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (h / degree) * op.matrix
+        for j in range(degree - 1, 0, -1):
+            c = (h / j) * op.matrix
+            y = c + c @ y
+    if method == "rk4":
         # ||P||_2 is the root of the largest eigenvalue of P^T P: one
         # symmetric eigensolve in place of a full SVD.  A non-finite P
         # gives a non-finite P^T P, as does an overflowing product.
-        norm = (
-            math.sqrt(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.eye(q) + y
+            gram = p.T @ p
+        norm = math.sqrt(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
         if norm > 1.0 + 1e-9:
             raise ValueError(
                 f"dt = {dt!r} gives an expansive RK4 step, ||P||_2 = {norm:.6g}: reduce dt"
             )
-        head = np.empty((m, q))
-        head[0] = s
-        for a in range(1, m):
-            head[a] = head[a - 1] + head[a - 1] @ y
-        for _ in range(m.bit_length() - 1):
-            y = 2.0 * y + y @ y
-        tail = np.empty((math.ceil((steps + 1) / m), q))
-        tail[0] = s
-        for b in range(1, tail.shape[0]):
-            tail[b] = tail[b - 1] + y @ tail[b - 1]
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
+    for _ in range(squarings):
+        y = _square(y)
+    head = np.empty((m, q))
+    head[0] = op.density_vector
+    for a in range(1, m):
+        head[a] = head[a - 1] + head[a - 1] @ y
+    for _ in range(m.bit_length() - 1):
+        y = _square(y)
+    tail = np.empty((math.ceil((steps + 1) / m), q))
+    tail[0] = op.density_vector
+    for b in range(1, tail.shape[0]):
+        tail[b] = tail[b - 1] + y @ tail[b - 1]
     density = (tail @ head.T).reshape(-1)[: steps + 1]
-    return times, density.real.copy()
+    return times, density
 
 
 def fit_decay_rate(times, density, fit_start: float | None = None) -> float:

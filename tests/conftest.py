@@ -14,9 +14,12 @@ operator's k, tau and size alone; the RK4 density trace is recomputed
 stage by stage on that complex generator instead of through the
 precomputed step matrix of the moment form, and step by step in
 extended precision instead of through the split step index, and the
-expm trace from a Taylor-series propagator on the node grid in extended
-precision instead of an eigensolver, so agreement is evidence, not
-circularity.
+expm trace from a Taylor-series propagator, summed to extended
+precision on the node grid or on the moment form and applied step by
+step instead of scaled and squared, and from the eigensolver the
+package used before, so agreement is evidence, not circularity.  The
+split RK4 loop is also kept as it ran before its squarings dropped
+negligible entries, as the bit-for-bit reference of that drop.
 
 ``plasma_z``, the plasma dispersion function on the imaginary axis that
 the package no longer exports, is kept here on the package's phi: the
@@ -408,6 +411,66 @@ def sequential_rk4_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: i
     return density
 
 
+def split_rk4_unflushed(
+    op: slowmode.DiscreteOperator, dt: float, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``simulate_density(op, dt=dt, method="rk4")`` as it was before its
+    squarings dropped entries below 2^-500 max|Y|: the density trace,
+    and the last squared Y, whose tiny entries the drop would have cut."""
+    q = _size(op)
+    y = (dt / 4.0) * op.matrix
+    for j in (3.0, 2.0, 1.0):
+        c = (dt / j) * op.matrix
+        y = c + c @ y
+    m = 2
+    while m * m < steps + 1:
+        m *= 2
+    s = op.density_vector
+    head = np.empty((m, q))
+    head[0] = s
+    for a in range(1, m):
+        head[a] = head[a - 1] + head[a - 1] @ y
+    for _ in range(m.bit_length() - 1):
+        y = 2.0 * y + y @ y
+    tail = np.empty((math.ceil((steps + 1) / m), q))
+    tail[0] = s
+    for b in range(1, tail.shape[0]):
+        tail[b] = tail[b - 1] + y @ tail[b - 1]
+    return (tail @ head.T).reshape(-1)[: steps + 1], y
+
+
+def taylor_expm_moment_longdouble(
+    op: slowmode.DiscreteOperator, dt: float, steps: int
+) -> np.ndarray:
+    """Reference density trace e^T exp(n dt T) e, n = 0..steps, on the
+    operator's moment form T in ``np.longdouble``: the propagator
+    exp(dt T) is summed from its Taylor series, each term one
+    tridiagonal product of the last, until the terms fall below long
+    double's rounding, and it is applied once per step.  No scaling:
+    ``||dt T||_1`` must stay near 1, as at the default step."""
+    t = op.matrix.astype(np.longdouble) * np.longdouble(dt)
+    assert float(np.abs(t).sum(axis=0).max()) <= 2.0
+    lower, diagonal, upper = (np.diag(t, band)[:, None] for band in (-1, 0, 1))
+    propagator = np.eye(_size(op), dtype=np.longdouble)
+    term = propagator.copy()
+    j = 0
+    while np.max(np.abs(term)) > np.finfo(np.longdouble).eps / 16:
+        j += 1
+        product = diagonal * term
+        product[1:] += lower * term[:-1]
+        product[:-1] += upper * term[1:]
+        term = product / j
+        propagator += term
+    s = op.density_vector.astype(np.longdouble)
+    g = s.copy()
+    density = np.empty(steps + 1, dtype=np.longdouble)
+    density[0] = s @ g
+    for n in range(1, steps + 1):
+        g = propagator @ g
+        density[n] = s @ g
+    return density
+
+
 def _eigen_trace(matrix: np.ndarray, s: np.ndarray, times: np.ndarray) -> np.ndarray:
     """s^T exp(M t) s at every time, from the full table exp(lam t) over
     eigenvalues x times."""
@@ -419,8 +482,9 @@ def _eigen_trace(matrix: np.ndarray, s: np.ndarray, times: np.ndarray) -> np.nda
 
 def dense_expm(op: slowmode.DiscreteOperator, times: np.ndarray) -> np.ndarray:
     """Reference density trace e^T exp(T t) e on the operator's matrix,
-    from the full table over eigenvalues x times (the evaluation
-    ``simulate_density(method="expm")`` replaced by a split table)."""
+    from the full table over eigenvalues x times (the eigensolver route
+    ``simulate_density(method="expm")`` took before it scaled and
+    squared a Taylor polynomial)."""
     return _eigen_trace(op.matrix, op.density_vector, times)
 
 

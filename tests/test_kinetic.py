@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from slowmode import kinetic
 from slowmode import (
     build_operator,
     fit_decay_rate,
@@ -29,8 +32,16 @@ from conftest import (
     gauss_hermite_grid,
     node_form,
     sequential_rk4_longdouble,
+    split_rk4_unflushed,
     stagewise_rk4,
     taylor_expm_longdouble,
+    taylor_expm_moment_longdouble,
+)
+
+#: Long double must be wider than double for an extended-precision oracle.
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="long double is no wider than double on this platform",
 )
 
 
@@ -339,10 +350,7 @@ class TestSimulateDensity:
         oracle = stagewise_rk4(op, _default_dt(op), times.size - 1)
         assert np.max(np.abs(density - oracle)) <= 1e-12
 
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).eps > 1e-18,
-        reason="long double is no wider than double on this platform",
-    )
+    @needs_long_double
     @pytest.mark.parametrize("q", [16, 17])
     @pytest.mark.parametrize("tau_k", [0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.65, 1.0, 2.0])
     def test_rk4_matches_extended_precision(self, q, tau_k):
@@ -368,13 +376,64 @@ class TestSimulateDensity:
         oracle = stagewise_rk4(op, dt, steps)
         assert np.max(np.abs(density - oracle)) <= 1e-12
 
+    @needs_long_double
     @pytest.mark.parametrize("q", [16, 65, 256])
     @pytest.mark.parametrize("tau_k", [0.0, 0.1, 0.5, 2.0])
     def test_expm_matches_dense_table(self, q, tau_k):
+        # The reference is the Taylor propagator in long double; the
+        # eigensolver table dense_expm is itself off by 1.3e-14 at
+        # q = 256 and tau k = 0.1.
         op = build_operator(tau_k, 1.0, q)
         times, density = simulate_density(op, method="expm")
         assert density.dtype == float
-        assert np.max(np.abs(density - dense_expm(op, times))) <= 1e-14
+        reference = taylor_expm_moment_longdouble(op, _default_dt(op), times.size - 1)
+        assert float(np.max(np.abs(density - reference))) <= 2e-15
+
+    @needs_long_double
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 24),
+        tau_k=st.floats(0.0, 3.0),
+        tau=st.floats(0.1, 10.0),
+        divisor=st.sampled_from([1.0, 3.0]),
+    )
+    def test_expm_matches_long_double_taylor(self, q, tau_k, tau, divisor):
+        # The floor is the rounding of the head and tail rows, stepped
+        # ~sqrt(steps) times as in RK4: at tau k < 0.1 and dt / 3 (12000
+        # steps) the trace stays near 1 and its error reaches ~1.9e-15.
+        op = build_operator(tau_k / tau, tau, q)
+        dt = _default_dt(op) / divisor
+        times, density = simulate_density(op, dt=dt, method="expm")
+        reference = taylor_expm_moment_longdouble(op, dt, times.size - 1)
+        assert float(np.max(np.abs(density - reference))) <= 3e-15
+
+    @pytest.mark.parametrize("q", [64, 128, 256])
+    @pytest.mark.parametrize("tau_k", [0.083, 0.58, 1.43])
+    def test_squarings_drop_only_negligible_entries(self, q, tau_k, monkeypatch):
+        # Entries below 2^-500 max|Y| leave every squared propagator,
+        # and the RK4 trace stays bit for bit that of the loop without
+        # the drop; at q = 256 that loop does reach such entries.
+        squares = []
+        square = kinetic._square
+
+        def recorded(y):
+            squares.append(square(y))
+            return squares[-1]
+
+        def negligible(y):
+            magnitude = np.abs(y)
+            return (magnitude > 0.0) & (magnitude < np.ldexp(magnitude.max(), -500))
+
+        monkeypatch.setattr(kinetic, "_square", recorded)
+        op = build_operator(tau_k, 1.0, q)
+        times, density = simulate_density(op)
+        reference, unflushed = split_rk4_unflushed(op, _default_dt(op), times.size - 1)
+        assert np.array_equal(density, reference)
+        simulate_density(op, method="expm")
+        assert len(squares) >= 12  # log2(64) per method, and expm's scaling
+        assert not any(negligible(y).any() for y in squares)
+        if q == 256:
+            assert negligible(unflushed).any()
 
     @pytest.mark.parametrize("q", [16, 65, 256])
     @pytest.mark.parametrize("tau_k", [0.0, 0.1, 0.5, 2.0])
@@ -384,10 +443,7 @@ class TestSimulateDensity:
         difference = dense_expm(op, times) - dense_expm_complex(op, times)
         assert np.max(np.abs(difference)) <= 1e-13
 
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).eps > 1e-18,
-        reason="long double is no wider than double on this platform",
-    )
+    @needs_long_double
     @pytest.mark.parametrize("q", [16, 17])
     @pytest.mark.parametrize("tau_k", [0.1, 0.5, 2.0])
     def test_expm_matches_extended_precision_taylor(self, q, tau_k):
@@ -419,15 +475,16 @@ class TestSimulateDensity:
             simulate_density(op, t_end=1e-3)
         with pytest.raises(ValueError):
             simulate_density(op, method="euler")
-        # Near the double range: the last step overflows, or exp(lam t)
-        # does; both are refused, not warned about.
+        # Near the double range: a last step that overflows is refused,
+        # not warned about.  Below it, expm scales any step into range.
         small = build_operator(2.0, 1.0, 4)
         t_max = 1.7976931348623157e308
         for method in ("rk4", "expm"):
             with pytest.raises(ValueError, match="end past the double range"):
                 simulate_density(small, t_end=t_max, dt=1e308, method=method)
-        with pytest.raises(ValueError, match=r"exp\(lam t\) is not finite"):
-            simulate_density(small, t_end=1e308, dt=1e307, method="expm")
+        _, density = simulate_density(small, t_end=1e308, dt=1e307, method="expm")
+        assert density[0] == 1.0
+        assert np.all(np.abs(density) <= 1.0)
 
     @pytest.mark.parametrize("q", [4, 16, 64, 65, 256])
     def test_expm_conserves_density_at_long_horizons(self, q):
