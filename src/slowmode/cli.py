@@ -11,8 +11,10 @@ Subcommands::
 Output goes to ``--out`` (default stdout) as CSV (default) or JSON.  CSV
 documents may contain several sections separated by one blank line,
 each with its own header row; the section order per command is fixed
-and documented in the README.  JSON documents hold the same tables and
-are written by :mod:`slowmode.jsonwriter`, loaded only for them.
+and documented in the README.  JSON documents hold the same tables,
+each as an array of records, and are written byte for byte as
+``json.dumps(document, indent=2)`` writes them, without the :mod:`json`
+module; this module writes both formats.
 Expansion coefficients are emitted as decimal strings in both formats:
 they exceed 2**53 long before the interesting orders and must not pass
 through binary floating point.
@@ -82,8 +84,8 @@ def _warn(message: str, *args) -> None:
 
 class _Table:
     """A table: its header and one sequence of cells per column.  It is
-    a CSV section, and in a JSON document an array of records keyed by
-    the header (:mod:`slowmode.jsonwriter`)."""
+    a CSV section, and in a JSON document an array of records, each a
+    dict of the header and one row (:func:`_json_pieces`)."""
 
     def __init__(self, header, columns):
         self.header, self.columns = header, columns
@@ -108,6 +110,35 @@ _CSV_TEXT = {
     str: str,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: ""}.__getitem__,
+}
+
+
+def _json_str(text: str) -> str:
+    """``text`` as a JSON string literal, ``json``'s ASCII escapes
+    included.  A string that needs no escape is quoted as it is, so
+    :mod:`json` is imported only for one that does."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
+
+
+def _json_float(value: float) -> str:
+    """``value`` as ``json`` writes it: NaN and the infinities by name."""
+    text = float.__repr__(value)
+    return text if value - value == 0.0 else _NON_FINITE[text]
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: Text of each cell type in JSON: ints and booleans as in CSV, None as
+#: null.
+_JSON_TEXT = {
+    **_CSV_TEXT,
+    float: _json_float,
+    str: _json_str,
+    type(None): {None: "null"}.__getitem__,
 }
 
 #: Rows rendered per piece of a document, and the least characters per
@@ -152,6 +183,40 @@ def _csv_pieces(sections):
         yield from map(_csv_lines, _blocks(table.columns, _CSV_TEXT))
 
 
+def _json_pieces(value, end, indent):
+    """``value`` as JSON, then ``end``, byte for byte as
+    ``json.dumps(value, indent=2)`` writes it; ``indent`` starts each
+    line of ``value``'s items.  A dict is an object, a list or tuple an
+    array of cells, a :class:`_Table` an array of records, and anything
+    else one cell.  Arrays and tables come ``_BLOCK_ROWS`` items per
+    piece: each record of a block is one ``%`` template filled in, and
+    each block one join."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        for index, (key, item) in enumerate(value.items()):
+            yield ("," if index else "{") + inner + _json_str(key) + ": "
+            yield from _json_pieces(item, "", inner)
+        yield (indent + "}" if value else "{}") + end
+        return
+    table = isinstance(value, _Table)
+    if not table and not isinstance(value, (list, tuple)):
+        yield _JSON_TEXT[type(value)](value) + end
+        return
+    columns = [value]
+    if table:
+        # A record is a dict: each key where it first appears, holding
+        # the cells of its last column.  "%" in a key is doubled, not
+        # read as a marker.
+        last = {key: index for index, key in enumerate(value.header)}
+        columns = [value.columns[index] for index in last.values()]
+        fields = [f"{inner}  {_json_str(key).replace('%', '%%')}: %s" for key in last]
+        template = "{" + ",".join(fields) + inner + "}"
+    for start, texts in enumerate(_blocks(columns, _JSON_TEXT)):
+        items = map(template.__mod__, zip(*texts)) if table else texts[0]
+        yield ("," if start else "[") + inner + ("," + inner).join(items)
+    yield (indent + "]" if columns[0] else "[]") + end
+
+
 def _write_batched(stream, pieces) -> None:
     """Write the strings ``pieces`` to ``stream`` in writes of at least
     ``_WRITE_CHARS`` characters; only the last may be shorter.  One
@@ -185,11 +250,9 @@ def _open_out(path: str):
 
 def _emit(args, document: dict, sections) -> None:
     """Write the tables ``sections`` as CSV, or ``document``, which
-    holds the same tables and cells, as JSON through
-    :mod:`slowmode.jsonwriter`, loaded only then."""
+    holds the same tables and cells, as JSON."""
     if args.format == "json":
-        _load("jsonwriter")
-        pieces = json_pieces(document, _blocks)
+        pieces = _json_pieces(document, "\n", "\n")
     else:
         pieces = _csv_pieces(sections)
     with _open_out(args.out) as stream:
@@ -311,41 +374,16 @@ def cmd_compare(args) -> int:
     series = ce_coefficients(max(orders))
     comparison = compare_to_exact(x_grid, orders, series)
     reports = [classify_stability(series, order) for order in comparison.orders]
-    for report in reports:
-        if report.precedes_criticality is False:
-            _warn(
-                "truncation order %d changes sign at x = %r, beyond the "
-                "critical point %r",
-                report.order,
-                report.sign_change_x,
-                CRITICAL_COUPLING,
-            )
-
     truncations = [comparison.truncations[n] for n in comparison.orders]
     columns = [comparison.x, [x / tau for x in comparison.x], comparison.exact]
     table = _Table(
         ["x", "k", "exact"] + [f"T{n}" for n in comparison.orders], columns + truncations
     )
-    stability_header = [
-        "order",
-        "stable",
-        "sign_change_x",
-        "precedes_criticality",
-        "sup_error_origin",
-        "sup_error_near_critical",
-    ]
-    stability_rows = [
-        (
-            r.order,
-            r.stable,
-            r.sign_change_x,
-            r.precedes_criticality,
-            comparison.sup_error_origin[r.order],
-            comparison.sup_error_critical[r.order],
-        )
-        for r in reports
-    ]
-    stability = _rows_table(stability_header, stability_rows)
+    origin, critical = comparison.sup_error_origin, comparison.sup_error_critical
+    stability = _rows_table(
+        [*TruncationReport._fields, "sup_error_origin", "sup_error_near_critical"],
+        [(*report, origin[report.order], critical[report.order]) for report in reports],
+    )
     summary = {
         "tau": tau,
         "critical_x": CRITICAL_COUPLING,
@@ -422,15 +460,12 @@ def cmd_spectrum(args) -> int:
         _validate_positive(args.gap_threshold, "gap threshold")
     op = build_operator(args.k, tau, args.velocities)
     spectrum = operator_spectrum(op, gap_threshold=args.gap_threshold)
-    header = ["re", "im", "hydrodynamic"]
-    rows = [
-        (
-            float(e.real),
-            float(e.imag),
-            spectrum.hydrodynamic is not None and i == 0,
-        )
-        for i, e in enumerate(spectrum.eigenvalues)
-    ]
+    eigenvalues = spectrum.eigenvalues
+    marked = [spectrum.hydrodynamic is not None] + [False] * (len(eigenvalues) - 1)
+    table = _Table(
+        ["re", "im", "hydrodynamic"],
+        [eigenvalues.real.tolist(), eigenvalues.imag.tolist(), marked],
+    )
     summary = {
         "tau": tau,
         "k": op.k,
@@ -440,7 +475,6 @@ def cmd_spectrum(args) -> int:
         "gap_threshold": spectrum.gap_threshold,
         "merged": spectrum.hydrodynamic is None,
     }
-    table = _rows_table(header, rows)
     _emit(args, {**summary, "eigenvalues": table}, [table, _summary_section(summary)])
     if args.svg:
         _load("svgplot")

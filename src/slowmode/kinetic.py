@@ -250,7 +250,8 @@ def simulate_density(
     tail row P^(m b) e, stepped by P^m = I + Y_m with Y_m from
     log2(m) more squarings: about 2 m vector products and a few matrix
     products instead of one vector product per step.  Every squaring
-    drops the entries below 2^-500 max|Y| (see ``_square``).  A last
+    drops the entries below 2^-500 max|Y| (see ``_square``), and the
+    scaling squarings stop once Y no longer changes.  A last
     step past the double range raises ValueError, as do, before any
     allocation, more than 2**24 steps x nodes.
     """
@@ -316,7 +317,9 @@ def simulate_density(
                 f"dt = {dt!r} gives an expansive RK4 step, ||P||_2 = {norm:.6g}: reduce dt"
             )
     for _ in range(squarings):
-        y = _square(y)
+        y, previous = _square(y), y
+        if np.array_equal(y, previous):  # a fixed point stays fixed
+            break
     head = np.empty((m, q))
     head[0] = op.density_vector
     for a in range(1, m):

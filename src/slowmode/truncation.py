@@ -14,6 +14,14 @@ root of U at |t| <= 1 + max_{n<N} |c_n / c_N| <= 2, so scanning t in
 (0, 2] is exhaustive: beyond the scan window the sign of U is the sign
 of the leading coefficient c_N.
 
+Parity rule: T_N is stable iff N is odd.  The series is a Stieltjes
+series, so F - T_N has the sign of the first omitted term
+c_{N+1} x^(2N+2) for every x > 0, where F < 0 is the exact branch, and
+the c_n alternate in sign from c_1 = -1.  For odd N, c_{N+1} > 0 puts
+T_N below F < 0; for even N the leading c_N > 0 turns T_N positive.
+The scan stays all the same: the rule says whether T_N changes sign,
+the scan locates where.
+
 :func:`compare_to_exact` tabulates the truncations against the exact
 scaled branch across the subcritical range, where the divergent
 character shows concretely: adding orders improves the fit near x = 0
@@ -161,8 +169,8 @@ def classify_stability(series: CeSeries, order: int) -> TruncationReport:
     if root_t is None:
         if coefficients[-1] > 0:
             raise SelfCheckError(
-                f"truncation order {order} has positive leading "
-                "coefficient but the root scan found no sign change"
+                f"truncation order {order} has c_N > 0 but the root scan found no sign "
+                "change: T_N is stable iff N is odd, as F - T_N has the sign of c_(N+1)"
             )
         return TruncationReport(
             order=order,

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slowmode import a000699, cli, comparison_svg, critical_wave_number, jsonwriter, spectrum_svg
+from slowmode import a000699, cli, comparison_svg, critical_wave_number, spectrum_svg
 
 from conftest import csv_sections, run_cli, run_python, source_env
 
@@ -538,8 +538,7 @@ def test_csv_builds_no_json_payload(argv, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("JSON rendered for CSV output")
 
-    monkeypatch.setattr(jsonwriter, "json_pieces", refuse)
-    monkeypatch.setattr(cli, "json_pieces", refuse, raising=False)
+    monkeypatch.setattr(cli, "_json_pieces", refuse)
     assert cli.main(argv) == 0
     assert csv_sections(capsys.readouterr().out)[0][0][0] in ("k", "x")
 

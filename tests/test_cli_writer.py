@@ -1,7 +1,7 @@
 """The CLI's document writer against the renderers it replaced.
 
 ``slowmode.cli`` renders each table a column at a time, CSV and JSON
-(:mod:`slowmode.jsonwriter`) alike, and writes both in batched writes.
+alike, and writes both in batched writes.
 The reference for CSV is the renderer it replaced:
 ``csv.writer(lineterminator="\\n")`` over ``reference_cell``.  The
 reference for JSON is ``json.dumps(document, indent=2) + "\\n"`` with
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slowmode import cli, jsonwriter
+from slowmode import cli
 
 #: Header identifiers and status words the commands write.
 IDENTIFIERS = [
@@ -147,7 +147,7 @@ def reference_json(document) -> str:
 
 
 def render_json(document) -> list[str]:
-    return render(jsonwriter.json_pieces(document, cli._blocks))
+    return render(cli._json_pieces(document, "\n", "\n"))
 
 
 class Recorder:

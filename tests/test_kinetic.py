@@ -435,6 +435,26 @@ class TestSimulateDensity:
         if q == 256:
             assert negligible(unflushed).any()
 
+    def test_scaling_stops_at_a_fixed_point(self, monkeypatch):
+        # dt = 1e307 asks for about 1,026 scaling squarings at q = 256;
+        # Y stops changing after 16 of them, and a fixed point stays
+        # fixed, so the loop ends there with the same trace.
+        squares = []
+        square = kinetic._square
+
+        def recorded(y):
+            squares.append(square(y))
+            return squares[-1]
+
+        monkeypatch.setattr(kinetic, "_square", recorded)
+        op = build_operator(0.5, 1.0, 256)
+        _, density = simulate_density(op, t_end=1e308, dt=1e307, method="expm")
+        assert len(squares) <= 20
+        # The last scaling squaring, before the tail's two, left Y as it was.
+        assert np.array_equal(squares[-3], squares[-4])
+        assert density[0] == 1.0
+        assert np.all(np.abs(density) <= 1.0)
+
     @pytest.mark.parametrize("q", [16, 65, 256])
     @pytest.mark.parametrize("tau_k", [0.0, 0.1, 0.5, 2.0])
     def test_real_and_complex_oracles_agree(self, q, tau_k):

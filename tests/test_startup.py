@@ -5,10 +5,10 @@ at all.
 Layers load on first use.  ``import slowmode`` binds only
 ``__version__``, and ``import slowmode.cli`` adds only
 :mod:`slowmode.errors`; each command imports its own layers when it
-runs, its JSON writer :mod:`slowmode.jsonwriter` only for JSON output,
-:mod:`json` only for a JSON string that needs an escape (the commands'
-strings need none, and CSV is written without :mod:`csv`), and
-:mod:`logging` only to emit a warning.  A command
+runs, :mod:`json` only for a JSON string that needs an escape (the
+commands' strings need none; the CLI writes JSON and CSV itself, and no
+command imports :mod:`csv`), and :mod:`logging` only to emit a warning.
+A command
 binds at ``slowmode.cli`` every name in its layers' ``__all__``, the one
 list of what a layer exports.  Every such name is readable there before
 any command has run, as the layer's own object, without a dunder probe
@@ -83,7 +83,6 @@ CHECKS = {
             "slowmode.truncation",
             "slowmode.kinetic",
             "slowmode.svgplot",
-            "slowmode.jsonwriter",
         }
         assert not skipped & set(sys.modules), skipped & set(sys.modules)
         assert "slowmode.dispersion" in sys.modules
@@ -106,7 +105,6 @@ CHECKS = {
                 assert main([*argv, "--format", "json"]) == 0, argv
             assert out.getvalue().startswith("{"), argv
         assert "json" not in sys.modules
-        assert "slowmode.jsonwriter" in sys.modules
     """,
     "light_commands_skip_numpy": """
         import contextlib, io, sys
