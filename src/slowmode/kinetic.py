@@ -20,9 +20,8 @@ T is stored highest moment first, moment n at index q - 1 - n, so the
 density vector is e_(q-1).  LAPACK's QR iteration deflates from the
 bottom of the matrix; with the density and low moments there,
 ``eigvals`` at 256 moments takes about two thirds of its time in the
-natural order (34 against 51 ms on a 2-vCPU host).  The largest node
-v_max, the largest zero of He_q, sets the default time step and the
-overflow and roundoff checks.
+natural order.  The largest node v_max, the largest zero of He_q, sets
+the default time step and the overflow and roundoff checks.
 
 The operator's spectrum consists of a cluster of modes approximating the
 continuum at Re = -1/tau plus, for tau k < sqrt(pi/2), one isolated real

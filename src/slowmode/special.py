@@ -15,10 +15,8 @@ c before calling it.  It runs one Halley loop for phi(y) = c inside the
 closed-form bracket that the Mills-ratio bounds on phi give; the
 profile ODE phi'(y) = y phi(y) - 1 supplies phi' and phi'' from each
 phi value, so one phi evaluation buys a third-order step.  The loop
-evaluates phi at one site, with ``_erfcx``'s erfc-branch arithmetic
-written out in place (the same operations in the same order, so every
-value is bit-identical to :func:`phi`'s); only the asymptotic branch,
-y / sqrt(2) > 25, calls ``_erfcx``.
+evaluates phi at one site, through ``_erfcx`` as :func:`phi` does, so
+every value is bit-identical to :func:`phi`'s.
 """
 
 import math
@@ -108,20 +106,10 @@ def solve_phi(c: float) -> tuple[float, float, int, float | None]:
     b = (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c)
     if b < a:
         b = a
-    exp, erfc = math.exp, math.erfc
     z, pa, pb = a, None, None  # pb: phi(b), once b is an evaluated point
     passes = 0
     while True:
-        # phi(z) = sqrt(pi/2) erfcx(u), u = z / sqrt(2): _erfcx inline.
-        u = z * _SQRT_HALF
-        if u <= 25.0:
-            t = 134217729.0 * u  # 2^27 + 1
-            uh = t - (t - u)
-            hi = u * u
-            lo = (uh * uh - hi) + (u - uh) * (u + uh)
-            pz = _SQRT_HALF_PI * (exp(hi) * erfc(u) * (1.0 + lo))
-        else:
-            pz = _SQRT_HALF_PI * _erfcx(u)
+        pz = _SQRT_HALF_PI * _erfcx(z * _SQRT_HALF)
         # The first point is a itself, taken whatever the sign of phi - c.
         if pz > c or pa is None:
             a, pa = z, pz

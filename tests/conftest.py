@@ -4,8 +4,8 @@ The oracles deliberately avoid the package's own algorithms: the erfcx
 reference integrates the defining integral with adaptive quadrature,
 the profile root is re-solved by the Newton--chord loop the package
 used before its Halley loop (and the Halley loop itself is kept in the
-layered form it had before phi was written out inside it, as the
-bit-for-bit reference of that rewrite),
+form it had before it evaluated phi at one site, as the bit-for-bit
+reference of that rewrite),
 the expansion coefficients are recomputed by series reversion of the
 moment series instead of the profile ODE, and
 the kinetic generator is rebuilt on a Gauss-Hermite velocity grid (the
@@ -156,9 +156,10 @@ def phi_two_call(y: float) -> float:
 
 
 def solve_phi_two_call(c: float) -> tuple[float, float, int, float | None]:
-    """``special.solve_phi`` as it was before phi was written out inside
-    its loop: the same Halley loop, with one ``phi_two_call`` at a and
-    one per pass.  Its 4-tuple is the bit-for-bit reference."""
+    """``special.solve_phi`` as it was before its loop evaluated phi at
+    one site: the same Halley loop, with one ``phi_two_call`` at a before
+    the loop and one at the end of each pass.  Its 4-tuple is the
+    bit-for-bit reference."""
     a = 1.0 / c - c
     if a < 0.0:
         a = 0.0

@@ -192,29 +192,18 @@ class TestSolvePhi:
     def count_phi_calls(monkeypatch, solve, xs) -> float:
         """Mean number of phi evaluations per ``solve(x)`` over ``xs``.
 
-        Each evaluation is one erfc call, in ``_erfcx`` or in
-        ``solve_phi``'s loop, which share ``special``'s ``math``, or one
-        ``_erfcx`` call on its asymptotic branch, u > 25.
+        Each evaluation is one call of ``_erfcx``, the one kernel that
+        ``phi`` and ``solve_phi``'s loop share.
         """
         calls = 0
         kernel = special._erfcx
 
-        class CountingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-            def erfc(self, u):
-                nonlocal calls
-                calls += 1
-                return math.erfc(u)
-
-        def asymptotic(u):
+        def counting(u):
             nonlocal calls
-            calls += u > 25.0
+            calls += 1
             return kernel(u)
 
-        monkeypatch.setattr(special, "math", CountingMath())
-        monkeypatch.setattr(special, "_erfcx", asymptotic)
+        monkeypatch.setattr(special, "_erfcx", counting)
         for x in xs:
             solve(x)
         return calls / len(xs)
@@ -281,10 +270,11 @@ def float_bits(values) -> tuple:
 SWITCH_Y = 25.0 * math.sqrt(2.0)
 
 
-class TestInlinePhiIsBitIdentical:
-    """``solve_phi`` evaluates phi inside its loop with ``_erfcx``'s
-    arithmetic written out; every value must match the two-call kernel
-    and the loop as it was before, bit for bit."""
+class TestOneSiteLoopIsBitIdentical:
+    """``solve_phi`` evaluates phi at one site, the head of its loop,
+    the lower end a included; every value must match the two-call
+    kernel and the loop with one evaluation at a and one per pass, bit
+    for bit."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
