@@ -30,7 +30,11 @@ eigenvalue converging spectrally (in q) to the slow decay rate from
 therefore measures the decay rate a closure should reproduce.  Both
 integrators, RK4 and the exact exponential, step with a Taylor
 polynomial of the propagator squared up from a short step, so only
-``operator_spectrum`` calls an eigensolver.
+``operator_spectrum`` calls a general eigensolver.  T is tridiagonal,
+so the degree-d polynomial is built on its own 2d + 1 diagonals in
+O(d^2 q), and written into a dense q x q matrix in O(q^2); the
+squarings, and RK4's norm check, are the only q x q matrix products,
+O(q^3) each.
 
 This is the one layer that needs numpy.  Each function imports it in its
 own body, so importing the module, and every refusal made before the
@@ -208,13 +212,81 @@ def _square(y: np.ndarray) -> np.ndarray:
     """2Y + Y^2, the Y of P^2 = I + 2Y + Y^2 for P = I + Y, with every
     entry below 2^-500 max|Y| set to zero.
 
-    The dropped entries move Y by at most q 2^-500 max|Y| in norm, far
-    below one rounding, and keep the operands of the next squaring
-    clear of subnormal numbers, which slow the product several-fold.
+    One matrix product, O(q^3), and one q x q buffer: 2Y goes into it
+    and is added to the product in place (a two-term sum commutes, so
+    the sum is bit for bit 2.0 * Y + Y @ Y), then |2Y + Y^2| replaces
+    it for the threshold and the drop.  The dropped entries move Y by
+    at most q 2^-500 max|Y| in norm, far below one rounding, and keep
+    the operands of the next squaring clear of subnormal numbers,
+    which slow the product several-fold.
     """
-    y = 2.0 * y + y @ y
-    y[abs(y) < math.ldexp(float(abs(y).max()), -500)] = 0.0
-    return y
+    import numpy as np
+
+    z = y @ y
+    buffer = np.multiply(y, 2.0)
+    z += buffer
+    magnitude = np.abs(z, out=buffer)
+    z[magnitude < math.ldexp(float(magnitude.max()), -500)] = 0.0
+    return z
+
+
+def _three_diagonals(t: np.ndarray) -> np.ndarray:
+    """The 3 x q array whose column i holds T[i, i-1], T[i, i] and
+    T[i, i+1], zero off the matrix.
+
+    Raises ValueError, naming the matrix, when T has a nonzero entry
+    off its three diagonals, which the array would drop.
+    """
+    import numpy as np
+
+    diagonals = np.zeros((3, t.shape[0]))
+    diagonals[0, 1:] = t.diagonal(-1)
+    diagonals[1] = t.diagonal()
+    diagonals[2, :-1] = t.diagonal(1)
+    if np.count_nonzero(diagonals) != np.count_nonzero(t):
+        raise ValueError(
+            "op.matrix has entries off its three diagonals: simulate_density "
+            "steps only a tridiagonal generator, such as build_operator's T"
+        )
+    return diagonals
+
+
+def _taylor_part(diagonals: np.ndarray, h: float, degree: int) -> np.ndarray:
+    """Y = hT(I + hT/2(I + ... (I + hT/d))), the degree-d Taylor
+    polynomial of exp(hT) less the identity, for the tridiagonal T
+    given as its ``_three_diagonals``.
+
+    Y is a polynomial of degree d in T, so it has d diagonals on either
+    side of its own, and each Horner step Y <- C + C Y, C = (h/j) T,
+    runs on those 2d + 1 diagonals alone: C Y is a row-scaled copy of
+    Y plus the rows above and below it scaled by C's sub- and
+    super-diagonals.  That is O(d q) per degree, O(d^2 q) in all, where
+    a q x q matrix product is O(q^3); writing the band into the dense,
+    contiguous Y is O(q^2).
+    """
+    import numpy as np
+
+    q = diagonals.shape[1]
+    width = 2 * degree + 1
+    c = (h / np.arange(1.0, degree + 1.0))[:, None, None] * diagonals  # C for j = 1..d
+    band = np.zeros((width, q))  # band[degree + o, i] = Y[i, i + o]
+    middle = slice(degree - 1, degree + 2)
+    band[middle] = c[-1]
+    c = c[-2::-1]  # j = d - 1 down to 1; T[i, i-1] from row 1, T[i, i+1] to row q - 2
+    for scaled, lower, diagonal, upper in zip(c, c[:, 0, 1:], c[:, 1], c[:, 2, :-1]):
+        z = diagonal * band
+        z[:-1, 1:] += lower * band[1:, :-1]
+        z[1:, :-1] += upper * band[:-1, 1:]
+        z[middle] += scaled
+        band = z
+    # band.T[i] is row i of Y from column i - degree.  Written at the
+    # start of rows of q + width entries and read back in rows one
+    # shorter, it moves i columns right, onto Y's diagonals; the entries
+    # off the matrix land in the degree columns of padding either side.
+    padded = np.zeros(q * (q + width))
+    padded.reshape(q, q + width)[:, :width] = band.T
+    y = padded[: q * (q + width - 1)].reshape(q, q + width - 1)[:, degree : degree + q]
+    return np.ascontiguousarray(y)
 
 
 def simulate_density(
@@ -232,6 +304,9 @@ def simulate_density(
     squared s times as Y <- 2Y + Y^2, so that P is I + Y at
     dt = 2^s h.  With the identity kept out of every product, rounding
     does not compound as it does under plain repeated squaring of P.
+    The Horner steps apply hT/j as T's three diagonals to Y's 2d + 1
+    diagonals (see ``_taylor_part``): O(d^2 q), and O(q^2) to write Y
+    out, in place of d - 1 dense products, O(d q^3).
 
     ``method="rk4"`` is d = 4 at h = dt, the classical RK4 step.  The
     exact flow is non-expansive, so ||P||_2 > 1 + 1e-9 raises
@@ -247,12 +322,14 @@ def simulate_density(
     power of two such that m^2 exceeds the step count, so rho_n is the
     product of a head row e^T P^a (a < m), stepped as r + r Y, and a
     tail row P^(m b) e, stepped by P^m = I + Y_m with Y_m from
-    log2(m) more squarings: about 2 m vector products and a few matrix
-    products instead of one vector product per step.  Every squaring
-    drops the entries below 2^-500 max|Y| (see ``_square``), and the
-    scaling squarings stop once Y no longer changes.  A last
+    log2(m) more squarings: about 2 m vector products and s + log2(m)
+    matrix products instead of one vector product per step (RK4 adds
+    one product and a symmetric eigensolve for its check).  Every
+    squaring drops the entries below 2^-500 max|Y| (see ``_square``),
+    and the scaling squarings stop once Y no longer changes.  A last
     step past the double range raises ValueError, as do, before any
-    allocation, more than 2**24 steps x nodes.
+    allocation, more than 2**24 steps x nodes, and then an
+    ``op.matrix`` with a nonzero entry off its three diagonals.
     """
     import numpy as np
 
@@ -279,6 +356,7 @@ def simulate_density(
     steps = max(1, math.ceil(ratio - 1e-12))
     if not math.isfinite(steps * dt):
         raise ValueError(f"{steps} steps of dt = {dt!r} end past the double range")
+    diagonals = _three_diagonals(op.matrix)
     times = np.linspace(0.0, steps * dt, steps + 1)
 
     # The least power of two m >= 2 with m^2 > steps: 2^L > steps >= 2^(L-1)
@@ -299,10 +377,7 @@ def simulate_density(
         raise ValueError(f"unknown integration method {method!r}")
     h = math.ldexp(dt, -squarings)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (h / degree) * op.matrix
-        for j in range(degree - 1, 0, -1):
-            c = (h / j) * op.matrix
-            y = c + c @ y
+        y = _taylor_part(diagonals, h, degree)
     if method == "rk4":
         # ||P||_2 is the root of the largest eigenvalue of P^T P: one
         # symmetric eigensolve in place of a full SVD.  A non-finite P
@@ -319,16 +394,21 @@ def simulate_density(
         y, previous = _square(y), y
         if np.array_equal(y, previous):  # a fixed point stays fixed
             break
+    # ndarray.dot with out= skips matmul's ufunc overhead, about half a
+    # microsecond in each of ~2m calls; it would copy a strided y on
+    # every call, and each y here is contiguous.
     head = np.empty((m, q))
     head[0] = op.density_vector
-    for a in range(1, m):
-        head[a] = head[a - 1] + head[a - 1] @ y
+    for previous, row in zip(head, head[1:]):
+        previous.dot(y, out=row)
+        row += previous
     for _ in range(m.bit_length() - 1):
         y = _square(y)
     tail = np.empty((math.ceil((steps + 1) / m), q))
     tail[0] = op.density_vector
-    for b in range(1, tail.shape[0]):
-        tail[b] = tail[b - 1] + y @ tail[b - 1]
+    for previous, row in zip(tail, tail[1:]):
+        y.dot(previous, out=row)
+        row += previous
     density = (tail @ head.T).reshape(-1)[: steps + 1]
     return times, density
 

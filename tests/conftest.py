@@ -19,7 +19,9 @@ precision on the node grid or on the moment form and applied step by
 step instead of scaled and squared, and from the eigensolver the
 package used before, so agreement is evidence, not circularity.  The
 split RK4 loop is also kept as it ran before its squarings dropped
-negligible entries, as the bit-for-bit reference of that drop.
+negligible entries, as the bit-for-bit reference of that drop, and the
+whole trace as it ran while each Horner step of the Taylor polynomial
+was a dense matrix product, which also steps the dense node form.
 
 ``plasma_z``, the plasma dispersion function on the imaginary axis that
 the package no longer exports, is kept here on the package's phi: the
@@ -42,6 +44,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import slowmode
+from slowmode import kinetic
 
 
 def erfcx_quadrature(y: float) -> float:
@@ -412,17 +415,64 @@ def sequential_rk4_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: i
     return density
 
 
+def dense_horner_trace(
+    op: slowmode.DiscreteOperator, dt: float, steps: int, method: str
+) -> np.ndarray:
+    """``simulate_density(op, dt=dt, method=method)`` as it ran while its
+    Horner steps Y <- C + C Y, C = (h/j) T, were dense q x q products:
+    the density trace over ``steps`` steps, by the same degree and
+    scaling rule, the same split n = a + m b, squarings written as
+    2.0 * y + y @ y with the drop of entries below 2^-500 max|Y|, and
+    the stop of the scaling squarings at a fixed point.  No band is
+    assumed, so it also steps a dense generator such as ``node_form``'s B
+    from its s'."""
+    matrix, s = op.matrix, op.density_vector
+    degree, squarings = 4, 0
+    if method == "expm":
+        quarter = float(abs(0.25 * matrix).sum(axis=0).max())
+        squarings = max(0, math.frexp(dt)[1] + math.frexp(quarter)[1] + 3)
+        theta = 4.0 * quarter * math.ldexp(dt, -squarings)
+        degree = next(n for n in range(2, 64) if theta**n < math.ldexp(math.factorial(n), -54)) - 1
+    h = math.ldexp(dt, -squarings)
+    y = (h / degree) * matrix
+    for j in range(degree - 1, 0, -1):
+        c = (h / j) * matrix
+        y = c + c @ y
+
+    def square(y):
+        y = 2.0 * y + y @ y
+        y[abs(y) < math.ldexp(float(abs(y).max()), -500)] = 0.0
+        return y
+
+    for _ in range(squarings):
+        y, previous = square(y), y
+        if np.array_equal(y, previous):
+            break
+    m = 2
+    while m * m < steps + 1:
+        m *= 2
+    head = np.empty((m, s.size))
+    head[0] = s
+    for a in range(1, m):
+        head[a] = head[a - 1] + head[a - 1] @ y
+    for _ in range(m.bit_length() - 1):
+        y = square(y)
+    tail = np.empty((math.ceil((steps + 1) / m), s.size))
+    tail[0] = s
+    for b in range(1, tail.shape[0]):
+        tail[b] = tail[b - 1] + y @ tail[b - 1]
+    return (tail @ head.T).reshape(-1)[: steps + 1]
+
+
 def split_rk4_unflushed(
     op: slowmode.DiscreteOperator, dt: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``simulate_density(op, dt=dt, method="rk4")`` as it was before its
-    squarings dropped entries below 2^-500 max|Y|: the density trace,
-    and the last squared Y, whose tiny entries the drop would have cut."""
+    squarings dropped entries below 2^-500 max|Y|, with its Horner build
+    on T's three diagonals: the density trace, and the last squared Y,
+    whose tiny entries the drop would have cut."""
     q = _size(op)
-    y = (dt / 4.0) * op.matrix
-    for j in (3.0, 2.0, 1.0):
-        c = (dt / j) * op.matrix
-        y = c + c @ y
+    y = kinetic._taylor_part(kinetic._three_diagonals(op.matrix), dt, 4)
     m = 2
     while m * m < steps + 1:
         m *= 2

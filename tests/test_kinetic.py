@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -28,6 +28,7 @@ from slowmode.kinetic import _default_dt
 from conftest import (
     complex_generator,
     dense_expm,
+    dense_horner_trace,
     dense_expm_complex,
     gauss_hermite_grid,
     node_form,
@@ -199,6 +200,8 @@ class TestRealForm:
         # The node form B of the former build_operator and T are similar:
         # equal spectra as multisets, to roundoff of the larger of the
         # collision and advection scales, and equal rk4 and expm traces.
+        # B is dense, which simulate_density refuses, so its traces come
+        # from the dense-Horner oracle.
         op = build_operator(k, 1.0, q)
         b, s = node_form(k, 1.0, q)
         nodal = op._replace(matrix=b, density_vector=s)
@@ -208,7 +211,7 @@ class TestRealForm:
         assert float(distance[rows, cols].max()) <= 1e-13 * max(1.0, k * op.v_max)
         for method in ("rk4", "expm"):
             times, density = simulate_density(op, method=method)
-            _, reference = simulate_density(nodal, method=method)
+            reference = dense_horner_trace(nodal, _default_dt(op), times.size - 1, method)
             assert np.max(np.abs(density - reference)) <= 1e-13, method
 
 
@@ -454,6 +457,88 @@ class TestSimulateDensity:
         assert np.array_equal(squares[-3], squares[-4])
         assert density[0] == 1.0
         assert np.all(np.abs(density) <= 1.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 256),
+        tau_k=st.floats(0.0, 3.0),
+        method=st.sampled_from(["rk4", "expm"]),
+    )
+    @example(q=2, tau_k=0.0, method="rk4")
+    @example(q=3, tau_k=0.0, method="expm")
+    @example(q=2, tau_k=2.2, method="expm")
+    @example(q=3, tau_k=0.7, method="rk4")
+    @example(q=255, tau_k=1.43, method="rk4")
+    @example(q=256, tau_k=0.0, method="expm")
+    @example(q=256, tau_k=1.71, method="expm")
+    def test_trace_matches_dense_horner_oracle(self, q, tau_k, method):
+        # The Horner steps on T's three diagonals and the dense products
+        # they replace sum in different orders.  Over 61 sizes from 2 to
+        # 256, at 16 tau k in [0, 3] each, both methods, the traces
+        # differed by at most 2.2e-16; the bound allows for
+        # other BLAS builds.  At k = 0, T is diagonal: every product is
+        # then one rounded multiply either way, and the traces are equal.
+        op = build_operator(tau_k, 1.0, q)
+        times, density = simulate_density(op, method=method)
+        reference = dense_horner_trace(op, _default_dt(op), times.size - 1, method)
+        if tau_k == 0.0:
+            assert np.array_equal(density, reference)
+        assert float(np.max(np.abs(density - reference))) <= 1e-15
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 16, 17])
+    @pytest.mark.parametrize("degree", [1, 2, 4, 9, 16])
+    def test_horner_band_holds_the_dense_horner(self, q, degree):
+        # Y = p(hT) has no entry more than `degree` off its diagonal,
+        # and on the band it is the dense Horner loop's Y to roundoff
+        # (bit for bit at k = 0), also when the band is wider than Y.
+        for k in (0.0, 1.3):
+            t = build_operator(k, 1.0, q).matrix
+            h = 0.05
+            dense = (h / degree) * t
+            for j in range(degree - 1, 0, -1):
+                c = (h / j) * t
+                dense = c + c @ dense
+            y = kinetic._taylor_part(kinetic._three_diagonals(t), h, degree)
+            offsets = np.abs(np.subtract.outer(np.arange(q), np.arange(q)))
+            assert y.shape == (q, q) and not y[offsets > degree].any()
+            if k == 0.0:
+                assert np.array_equal(y, dense)
+            assert float(np.max(np.abs(y - dense))) <= 1e-16
+
+    def test_square_is_bit_for_bit_two_y_plus_y_squared(self):
+        # The product plus 2Y in place equals 2.0 * y + y @ y, the
+        # squaring's earlier form, because a two-term sum commutes; the
+        # drop below 2^-500 max|Y| acts on the same sum.
+        rng = np.random.default_rng(3)
+        for q in (2, 17, 64):
+            y = rng.standard_normal((q, q)) * 0.1
+            y[0], y[:, 0] = 0.0, 0.0
+            y[0, 0] = 1e-170  # 2Y + Y^2 is 2e-170 there, below the drop
+            expected = 2.0 * y + y @ y
+            expected[abs(expected) < math.ldexp(float(abs(expected).max()), -500)] = 0.0
+            assert expected[0, 0] == 0.0
+            assert np.array_equal(kinetic._square(y), expected)
+
+    def test_refuses_entries_off_the_three_diagonals(self):
+        # Only T's three diagonals are stepped, so any other nonzero
+        # entry would be dropped; it is refused instead, naming the
+        # matrix.  Explicit zeros, -0.0 included, are not entries.
+        op = build_operator(0.5, 1.0, 8)
+        b, s = node_form(0.5, 1.0, 8)
+        corner = op.matrix.copy()
+        corner[0, 2] = 1e-300
+        poisoned = op.matrix.copy()
+        poisoned[-1, 0] = np.nan
+        refused = "op.matrix has entries off its three diagonals"
+        nodal = op._replace(matrix=b, density_vector=s)
+        for bad in (nodal, op._replace(matrix=corner), op._replace(matrix=poisoned)):
+            for method in ("rk4", "expm"):
+                with pytest.raises(ValueError, match=refused):
+                    simulate_density(bad, method=method)
+        signed = op.matrix.copy()
+        signed[0, 2] = -0.0
+        _, density = simulate_density(op._replace(matrix=signed), t_end=1.0)
+        assert np.array_equal(density, simulate_density(op, t_end=1.0)[1])
 
     @pytest.mark.parametrize("q", [16, 65, 256])
     @pytest.mark.parametrize("tau_k", [0.0, 0.1, 0.5, 2.0])
