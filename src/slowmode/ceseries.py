@@ -18,17 +18,20 @@ and matching powers of x^(2m) yields an integer recurrence,
     c_1 = -1,   c_m = sum_{j=1}^{m-1} (2(m-j) - 1) c_j c_{m-j},
     c = -1, 1, -4, 27, -248, ...
 
-Each c_m costs m - 1 big-integer products, so c_1..c_n cost O(n^2) of
-them and no rational arithmetic at all.  Pairing j with m - j turns
-the weight 2(m-j) - 1 into m - 1, so c_m = (m-1) sum_j c_j c_{m-j},
-and the magnitudes satisfy the quadratic recurrence
+Pairing j with m - j turns the weight 2(m-j) - 1 into m - 1, so
+c_m = (m-1) sum_j c_j c_{m-j}.  Every product c_j c_{m-j} has the sign
+(-1)^m, so c_n = (-1)^n a_n with the magnitudes of OEIS A000699,
 
-    a_1 = 1,   a_n = (n-1) * sum_{j=1}^{n-1} a_j a_{n-j},
+    a_1 = 1,   a_m = (m-1) * sum_{j=1}^{m-1} a_j a_{m-j}.
 
-(OEIS A000699), with |c_n| = a_n and strictly alternating signs
-starting at c_1 = -1.  :func:`a000699` is this symmetrized recurrence,
-so it checks the weight derivation; the Newton and Lagrange reversions
-of the Gaussian moment series in the tests are the independent routes.
+:func:`ce_coefficients` runs this symmetric sum over the pairs
+j < m - j only, doubled, plus the middle square a_{m/2}^2 for even m:
+about m/2 big-integer products per order and no rational arithmetic.
+The signs then hold by construction, so the self-check is the
+ODE-weight recurrence above at the top order alone, n - 1 products
+that the halved sum does not share.  The full ODE-weight recurrence,
+the unhalved A000699 sum, and the Newton and Lagrange reversions of the
+Gaussian moment series are the tests' oracles.
 
 The series has radius of convergence zero: |c_n| grows faster than any
 geometric sequence, with |c_n| / (2n-1)!! settling to an order-one
@@ -44,14 +47,13 @@ from .errors import SelfCheckError, _validate_count
 __all__ = [
     "CeSeries",
     "DivergenceReport",
-    "a000699",
     "ce_coefficients",
     "divergence_diagnostics",
     "gaussian_moment_series",
 ]
 
-#: Cap on the expansion order.  The recurrence itself is cheap (order
-#: 200 in milliseconds); the cap keeps the coefficients, which grow
+#: Cap on the expansion order.  The halved recurrence is cheap (order
+#: 200 in a few milliseconds); the cap keeps the coefficients, which grow
 #: factorially, within what the truncation and diagnostics layers and
 #: their tests cover.
 MAX_ORDER = 200
@@ -98,40 +100,34 @@ def gaussian_moment_series(n: int) -> list[int]:
     return moments
 
 
-def a000699(n: int) -> list[int]:
-    """First n terms of the quadratic recurrence a_1 = 1,
-    a_n = (n-1) * sum_{j=1}^{n-1} a_j a_{n-j}.
-
-    The ODE recurrence of :func:`ce_coefficients` symmetrized in j and
-    n - j, so a check of its weights (module docstring).
-    """
-    n = _validate_count(n, "order", 1, MAX_ORDER)
-    seq = [1]
-    for m in range(2, n + 1):
-        seq.append((m - 1) * sum(seq[j] * seq[m - 2 - j] for j in range(m - 1)))
-    return seq
-
-
 def ce_coefficients(order: int) -> CeSeries:
     """Exact expansion coefficients c_1..c_order of the scaled branch.
 
-    Runs the integer recurrence of the profile ODE (module docstring)
-    and asserts the strict sign alternation, starting negative.
+    Runs the halved symmetric recurrence for the magnitudes, gives c_n
+    the sign (-1)^n, and checks c_order against the ODE-weight
+    recurrence (module docstring).
     """
     order = _validate_count(order, "order", 1, MAX_ORDER)
-    coeffs = [-1]
+    a = [0, 1]  # a[m] = |c_m|
     for m in range(2, order + 1):
-        c = sum(
-            (2 * (m - j) - 1) * coeffs[j - 1] * coeffs[m - j - 1]
-            for j in range(1, m)
-        )
-        if c == 0 or (c < 0) != (m % 2 == 1):
-            raise SelfCheckError(
-                f"expansion coefficient c_{m} = {c} breaks the strict "
-                "sign alternation (-1)^n"
-            )
-        coeffs.append(c)
+        pairs = sum(a[j] * a[m - j] for j in range(1, (m + 1) // 2))
+        middle = a[m // 2] ** 2 if m % 2 == 0 else 0
+        a.append((m - 1) * (2 * pairs + middle))
+    coeffs = [(-1) ** n * a[n] for n in range(1, order + 1)]
+    _check_top_order(coeffs)
     return CeSeries(order=order, coefficients=tuple(coeffs))
+
+
+def _check_top_order(coeffs: list[int]) -> None:
+    """Raise :class:`SelfCheckError` unless the last of c_1..c_n, n >= 2,
+    obeys the ODE-weight recurrence c_n = sum_{j<n} (2(n-j) - 1) c_j c_{n-j}."""
+    n = len(coeffs)
+    expected = sum((2 * (n - j) - 1) * coeffs[j - 1] * coeffs[n - j - 1] for j in range(1, n))
+    if n > 1 and coeffs[-1] != expected:
+        raise SelfCheckError(
+            f"expansion coefficient c_{n} breaks the profile-ODE recurrence "
+            "c_n = sum_j (2(n-j) - 1) c_j c_(n-j)"
+        )
 
 
 def _root_test(c: int, n: int) -> float:

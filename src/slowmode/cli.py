@@ -147,22 +147,15 @@ _BLOCK_ROWS = 1024
 _WRITE_CHARS = 1 << 16
 
 
-def _texts(column, cell_text) -> list[str]:
-    """The cells of ``column`` as the table ``cell_text`` writes them:
-    one ``map`` when all cells share a type, a lookup per cell
-    otherwise."""
-    kinds = set(map(type, column))
-    if len(kinds) == 1:
-        return list(map(cell_text[kinds.pop()], column))
-    return [cell_text[type(value)](value) for value in column]
-
-
 def _blocks(columns, cell_text):
     """The rows of ``columns`` in runs of ``_BLOCK_ROWS``, each run as
-    one list of cell texts per column, written by the table
-    ``cell_text``."""
+    one list of cell texts per column, each cell written by the entry of
+    ``cell_text`` for its type."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        yield [_texts(column[start : start + _BLOCK_ROWS], cell_text) for column in columns]
+        yield [
+            [cell_text[type(value)](value) for value in column[start : start + _BLOCK_ROWS]]
+            for column in columns
+        ]
 
 
 def _csv_lines(texts) -> str:
@@ -329,11 +322,11 @@ def cmd_branch(args) -> int:
 def cmd_ce(args) -> int:
     _load("ceseries")
     series = ce_coefficients(args.order)
-    reference = a000699(args.order)
     diagnostics = divergence_diagnostics(series)
-    # Decimal strings: the coefficients exceed 2**53 early on.
+    # Decimal strings: the coefficients exceed 2**53 early on.  The
+    # magnitude column, |c_n| as text, stays for schema compatibility.
     coefficients = list(map(str, series.coefficients))
-    magnitudes = list(map(str, reference))
+    magnitudes = [text.lstrip("-") for text in coefficients]
     table = _Table(
         ["n", "coefficient", "magnitude_reference", "moment_ratio", "root_test"],
         [

@@ -7,7 +7,9 @@ used before its Halley loop (and the Halley loop itself is kept in the
 form it had before it evaluated phi at one site, as the bit-for-bit
 reference of that rewrite),
 the expansion coefficients are recomputed by series reversion of the
-moment series instead of the profile ODE, and
+moment series instead of the profile ODE (and by the two recurrences the
+package ran before its halved symmetric sum: the ODE-weight recurrence
+and the full A000699 sum of the magnitudes), and
 the kinetic generator is rebuilt on a Gauss-Hermite velocity grid (the
 node form the package used before its tridiagonal moment form) from the
 operator's k, tau and size alone; the RK4 density trace is recomputed
@@ -302,6 +304,29 @@ def newton_oracle(order: int) -> tuple[int, ...]:
     assert lam[0] == 0
     assert all(lam[m] == 0 for m in range(1, 2 * order + 1, 2))
     return tuple(lam[2 * n] for n in range(1, order + 1))
+
+
+@functools.cache
+def ode_weight_coefficients(order: int) -> tuple[int, ...]:
+    """Expansion coefficients c_1..c_order by the profile-ODE recurrence
+    with its weights, c_1 = -1, c_m = sum_{j<m} (2(m-j) - 1) c_j c_{m-j}:
+    m - 1 products per order, and no sign is imposed."""
+    coeffs = [-1]
+    for m in range(2, order + 1):
+        coeffs.append(
+            sum((2 * (m - j) - 1) * coeffs[j - 1] * coeffs[m - j - 1] for j in range(1, m))
+        )
+    return tuple(coeffs)
+
+
+def a000699(n: int) -> list[int]:
+    """First n terms of OEIS A000699, a_1 = 1,
+    a_n = (n-1) * sum_{j=1}^{n-1} a_j a_{n-j}: the magnitudes |c_n| by
+    the symmetric sum over every pair, not only j < n - j."""
+    seq = [1]
+    for m in range(2, n + 1):
+        seq.append((m - 1) * sum(seq[j] * seq[m - 2 - j] for j in range(m - 1)))
+    return seq
 
 
 class VelocityGrid(NamedTuple):

@@ -16,7 +16,6 @@ import pytest
 
 from slowmode import (
     CRITICAL_COUPLING,
-    a000699,
     build_operator,
     ce_coefficients,
     classify_stability,
@@ -31,9 +30,11 @@ from slowmode import (
 )
 
 from conftest import (
+    a000699,
     csv_sections,
     erfcx_quadrature,
     newton_oracle,
+    ode_weight_coefficients,
     plasma_z,
     run_cli,
 )
@@ -58,8 +59,9 @@ def test_criterion_01_leading_coefficients_exact():
 def test_criterion_02_dual_route_magnitudes():
     start = time.perf_counter()
     series = ce_coefficients(30)
-    reference = a000699(30)
     elapsed = time.perf_counter() - start
+    assert series.coefficients == ode_weight_coefficients(30)
+    reference = a000699(30)
     for n in range(1, 31):
         assert abs(series.coefficients[n - 1]) == reference[n - 1]
     assert elapsed < 10.0
@@ -67,10 +69,10 @@ def test_criterion_02_dual_route_magnitudes():
         assert ce_coefficients(order).coefficients == newton_oracle(order)
     _report(
         2,
-        "profile-ODE recurrence magnitudes equal the moment-series "
-        f"recurrence a000699 for n = 1..30 in {elapsed:.3f} s, and the "
-        "coefficients equal the Newton series reversion exactly at "
-        "orders 1, 2, 10, 30, 60",
+        f"halved symmetric-sum coefficients for n = 1..30 in {elapsed:.3f} s "
+        "equal the profile-ODE weight recurrence, their magnitudes the "
+        "full A000699 sum, and the coefficients equal the Newton series "
+        "reversion exactly at orders 1, 2, 10, 30, 60",
     )
 
 

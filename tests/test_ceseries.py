@@ -6,8 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from slowmode import (
-    a000699,
+    SelfCheckError,
     ce_coefficients,
+    ceseries,
+    cli,
     divergence_diagnostics,
     gaussian_moment_series,
     scaled_eigenvalue,
@@ -15,16 +17,18 @@ from slowmode import (
 from slowmode.ceseries import MAX_ORDER
 
 from conftest import (
+    a000699,
     branch_series_by_newton,
     moment_series,
     newton_oracle,
+    ode_weight_coefficients,
     series_in_square,
     series_mul,
     series_reciprocal,
 )
 
 # Magnitudes |c_n| computed once from the quadratic recurrence; frozen
-# here so a regression in either route is caught.
+# here so a regression in either oracle recurrence is caught.
 MAGNITUDES_12 = [
     1,
     1,
@@ -89,13 +93,14 @@ class TestGaussianMoments:
 
 
 class TestRecurrence:
+    """The oracle recurrences of conftest against the frozen magnitudes."""
+
     def test_first_terms(self):
         assert a000699(12) == MAGNITUDES_12
 
-    def test_rejects_bad_order(self):
-        for order in (0, -1, 201, 3.9):
-            with pytest.raises(ValueError, match="order must be in 1..200"):
-                a000699(order)
+    def test_ode_weight_first_terms(self):
+        signed = tuple((-1) ** n * a for n, a in enumerate(MAGNITUDES_12, start=1))
+        assert ode_weight_coefficients(12) == signed
 
 
 class TestCeCoefficients:
@@ -107,6 +112,11 @@ class TestCeCoefficients:
     def test_magnitudes_match_recurrence(self, series30):
         reference = a000699(30)
         assert [abs(c) for c in series30.coefficients] == reference
+
+    def test_matches_ode_weight_recurrence(self):
+        # c_1..c_n is a prefix of c_1..c_MAX_ORDER, so one call covers
+        # every order.
+        assert ce_coefficients(MAX_ORDER).coefficients == ode_weight_coefficients(MAX_ORDER)
 
     def test_signs_alternate(self, series30):
         for n, c in enumerate(series30.coefficients, start=1):
@@ -159,6 +169,28 @@ class TestCeCoefficients:
                 for n in range(1, order + 1)
             )
             assert abs(exact - t) <= 10.0 * x ** (2 * order + 2)
+
+    @staticmethod
+    def _corrupt_before_check(monkeypatch):
+        # The halved sum fixes every sign, so only the top-order check
+        # can see a wrong coefficient: change c_2 on its way there.
+        check = ceseries._check_top_order
+
+        def corrupted(coeffs):
+            coeffs[1] += 1
+            check(coeffs)
+
+        monkeypatch.setattr(ceseries, "_check_top_order", corrupted)
+
+    def test_corrupt_coefficient_fails_self_check(self, monkeypatch):
+        self._corrupt_before_check(monkeypatch)
+        with pytest.raises(SelfCheckError, match="c_5 breaks the profile-ODE recurrence"):
+            ce_coefficients(5)
+
+    def test_corrupt_coefficient_exits_4(self, monkeypatch, capsys):
+        self._corrupt_before_check(monkeypatch)
+        assert cli.main(["ce", "--order", "5"]) == 4
+        assert "self-check failure" in capsys.readouterr().err
 
     def test_rejects_bad_order(self):
         # 10**5000 is past CPython's 4300-digit limit for printing an int.

@@ -11,9 +11,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slowmode import a000699, cli, comparison_svg, critical_wave_number, spectrum_svg
+from slowmode import cli, comparison_svg, critical_wave_number, spectrum_svg
 
-from conftest import csv_sections, run_cli, run_python, source_env
+from conftest import a000699, csv_sections, run_cli, run_python, source_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -158,8 +158,18 @@ class TestCeCommand:
     def test_leading_coefficients(self, ce_csv):
         table = csv_sections(ce_csv.stdout)[0]
         assert [row[1] for row in table[1:6]] == ["-1", "1", "-4", "27", "-248"]
-        for row in table[1:]:
-            assert row[2] == str(abs(int(row[1])))
+
+    @pytest.mark.parametrize("order", [30, 200])
+    def test_magnitude_reference_is_abs_coefficient(self, order):
+        # The column is |c_n| as decimal text, kept for schema
+        # compatibility; past n = 150 no double can hold it.
+        args = ["ce", "--order", str(order)]
+        table = csv_sections(run_cli(args).stdout)[0]
+        assert [row[2] for row in table[1:]] == [str(abs(int(row[1]))) for row in table[1:]]
+        payload = json.loads(run_cli([*args, "--format", "json"]).stdout)
+        expected = [str(abs(int(text))) for text in payload["coefficients"]]
+        assert payload["magnitude_reference"] == expected
+        assert len(expected) == order
 
     def test_summary_values(self, ce_csv):
         summary = csv_sections(ce_csv.stdout)[1][1]
@@ -193,7 +203,6 @@ class TestCeCommand:
         table = csv_sections(result.stdout)[0]
         assert len(table) == 201
         for row in table[1:]:
-            assert str(abs(int(row[1]))) == row[2]
             assert math.isfinite(float(row[4]))
 
 

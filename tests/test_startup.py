@@ -250,7 +250,7 @@ CHECKS = {
 
         # Every name a tracer wraps at slowmode.cli, by its layer.
         for layer, names in {
-            "ceseries": ("a000699", "ce_coefficients", "divergence_diagnostics"),
+            "ceseries": ("ce_coefficients", "divergence_diagnostics"),
             "dispersion": ("sample_branch", "solve_diffusion_mode"),
             "kinetic": ("build_operator", "operator_spectrum", "simulate_decay"),
             "svgplot": ("comparison_svg", "spectrum_svg"),
