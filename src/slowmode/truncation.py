@@ -7,20 +7,28 @@ x > 0; otherwise the first sign change marks the wave number beyond
 which the closure predicts growth instead of decay.
 
 Substituting t = x^2 gives T_N(x) = t U(t) with the ordinary polynomial
-U(t) = sum_n c_n t^(n-1), so positivity questions reduce to a real root
-scan of U on t > 0.  Because the coefficient magnitudes are strictly
-increasing (|c_{n-1}| < |c_n| for n >= 3), the Cauchy bound puts every
-root of U at |t| <= 1 + max_{n<N} |c_n / c_N| <= 2, so scanning t in
-(0, 2] is exhaustive: beyond the scan window the sign of U is the sign
-of the leading coefficient c_N.
+U(t) = sum_n c_n t^(n-1), so positivity questions reduce to the real
+roots of U on t > 0.
 
-Parity rule: T_N is stable iff N is odd.  The series is a Stieltjes
-series, so F - T_N has the sign of the first omitted term
-c_{N+1} x^(2N+2) for every x > 0, where F < 0 is the exact branch, and
-the c_n alternate in sign from c_1 = -1.  For odd N, c_{N+1} > 0 puts
-T_N below F < 0; for even N the leading c_N > 0 turns T_N positive.
-The scan stays all the same: the rule says whether T_N changes sign,
-the scan locates where.
+Parity rule: T_N is stable iff N is odd, and for even N, U has exactly
+one positive root.  The coefficients alternate in sign from c_1 = -1;
+write mu_n = |c_{n+1}|, so that U(t) = -S_N(t) with
+S_N(t) = sum_{n<N} mu_n (-t)^n.  The series is a Stieltjes series: the
+mu_n are moments of a positive measure sigma on [0, inf) (its S-fraction
+coefficients are positive, which the tests check through order 200).
+Summing the geometric series under the integral,
+
+    S_N(t) = int (1 - (-ut)^N) / (1 + ut) dsigma(u) = h(t) - (-t)^N k_N(t),
+
+where h(t) = int dsigma / (1 + ut) is strictly decreasing and
+t^N k_N(t) = int (ut)^N / (1 + ut) dsigma is strictly increasing.  For
+odd N, S_N = h + t^N k_N > 0, so T_N < 0 for every x > 0.  For even N,
+S_N = h - t^N k_N is strictly decreasing from S_N(0) = 1, so it has at
+most one positive root.  Because the coefficient magnitudes are strictly
+increasing (|c_{n-1}| < |c_n| for n >= 3), the Cauchy bound puts every
+root of U at |t| < 1 + max_{n<N} |c_n / c_N| <= 2: the root lies in
+(0, 2), and U(2) has the sign of c_N.  So the sign of c_N decides
+stability, and one bisection of U on [0, 2] finds the one root.
 
 :func:`compare_to_exact` tabulates the truncations against the exact
 scaled branch across the subcritical range, where the divergent
@@ -44,10 +52,9 @@ __all__ = [
     "eval_truncation",
 ]
 
-#: Root scan window (in t = x^2) and resolution.  The window ends at the
-#: Cauchy bound of the module docstring, so it is exhaustive.
-_SCAN_UPPER = 2.0
-_SCAN_STEPS = 1_250
+#: The Cauchy bound of the module docstring, in t = x^2: every root of
+#: U lies below it, so it closes the bisection bracket.
+_CAUCHY_BOUND = 2.0
 
 
 class TruncationReport(NamedTuple):
@@ -129,56 +136,36 @@ def _poly_u(coefficients: tuple[float, ...], t: float) -> float:
 def classify_stability(series: CeSeries, order: int) -> TruncationReport:
     """Decide whether T_order is strictly negative for all x > 0.
 
-    Scans U(t) on the exhaustive window t in (0, 2] with 1250
-    subintervals, then bisects the first bracketed sign change down to
-    floating-point resolution.  An exact zero hit on the grid is itself
-    a sign change (negativity fails there).
+    The sign of c_order decides (the parity rule of the module
+    docstring).  An unstable order's one root is bisected on U over
+    t in [0, 2], from U(0+) = c_1 = -1, until the midpoint equals one of
+    the two ends; an exact zero at a midpoint is the root.  Raises
+    SelfCheckError when U(2) does not have the sign of c_order, the
+    bracket the bisection relies on.
     """
     coefficients = _float_coefficients(series, order)
     order = len(coefficients)
-    prev_t = 0.0
-    prev_u = coefficients[0]  # U(0+) = c_1 = -1 < 0
-    root_t = None
-    for i in range(1, _SCAN_STEPS + 1):
-        # Form the node as 2 i / 1250 so that representable rationals
-        # (such as t = 1) are hit exactly rather than approached.
-        t = _SCAN_UPPER * i / _SCAN_STEPS
-        u = _poly_u(coefficients, t)
-        if u == 0.0:
-            root_t = t
-            break
-        if (u > 0.0) != (prev_u > 0.0):
-            # Bisect the bracket [prev_t, t] on U.
-            lo, hi = prev_t, t
-            u_lo = prev_u
-            while hi - lo > 1e-16 * hi:
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                u_mid = _poly_u(coefficients, mid)
-                if u_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if (u_mid > 0.0) == (u_lo > 0.0):
-                    lo, u_lo = mid, u_mid
-                else:
-                    hi = mid
-            root_t = 0.5 * (lo + hi)
-            break
-        prev_t, prev_u = t, u
-    if root_t is None:
-        if coefficients[-1] > 0:
-            raise SelfCheckError(
-                f"truncation order {order} has c_N > 0 but the root scan found no sign "
-                "change: T_N is stable iff N is odd, as F - T_N has the sign of c_(N+1)"
-            )
-        return TruncationReport(
-            order=order,
-            stable=True,
-            sign_change_x=None,
-            precedes_criticality=None,
+    stable = coefficients[-1] < 0.0
+    u_top = _poly_u(coefficients, _CAUCHY_BOUND)
+    if not (u_top < 0.0 if stable else u_top > 0.0):
+        raise SelfCheckError(
+            f"truncation order {order}: U(2) = {u_top!r} does not have the sign of "
+            f"c_{order}, so the Cauchy bound t < 2 does not bracket the roots of U"
         )
-    x_root = math.sqrt(root_t)
+    if stable:
+        return TruncationReport(order, True, None, None)
+    lo, hi = 0.0, _CAUCHY_BOUND
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        u = _poly_u(coefficients, mid)
+        if u == 0.0:
+            break
+        if u < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    x_root = math.sqrt(mid)
     return TruncationReport(
         order=order,
         stable=False,

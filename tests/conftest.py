@@ -9,7 +9,9 @@ reference of that rewrite),
 the expansion coefficients are recomputed by series reversion of the
 moment series instead of the profile ODE (and by the two recurrences the
 package ran before its halved symmetric sum: the ODE-weight recurrence
-and the full A000699 sum of the magnitudes), and
+and the full A000699 sum of the magnitudes), the stability of each
+truncation is re-decided by the 1,250-step root scan and bisection the
+package ran before the sign of c_N decided it, and
 the kinetic generator is rebuilt on a Gauss-Hermite velocity grid (the
 node form the package used before its tridiagonal moment form) from the
 operator's k, tau and size alone; the RK4 density trace is recomputed
@@ -47,6 +49,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 import slowmode
 from slowmode import kinetic
+from slowmode.truncation import TruncationReport, _float_coefficients, _poly_u
 
 
 def erfcx_quadrature(y: float) -> float:
@@ -327,6 +330,70 @@ def a000699(n: int) -> list[int]:
     for m in range(2, n + 1):
         seq.append((m - 1) * sum(seq[j] * seq[m - 2 - j] for j in range(m - 1)))
     return seq
+
+
+#: Grid of the stability scan oracle: (0, 2] in t = x^2, 1,250 steps.
+SCAN_UPPER = 2.0
+SCAN_STEPS = 1_250
+
+
+def scan_classify_stability(series: slowmode.CeSeries, order: int) -> TruncationReport:
+    """``classify_stability`` as the package ran it before the parity rule
+    decided it: scan U(t) on the exhaustive window t in (0, 2] with 1250
+    subintervals, then bisect the first bracketed sign change down to
+    floating-point resolution.  An exact zero hit on the grid is itself
+    a sign change (negativity fails there)."""
+    coefficients = _float_coefficients(series, order)
+    order = len(coefficients)
+    prev_t = 0.0
+    prev_u = coefficients[0]  # U(0+) = c_1 = -1 < 0
+    root_t = None
+    for i in range(1, SCAN_STEPS + 1):
+        # Form the node as 2 i / 1250 so that representable rationals
+        # (such as t = 1) are hit exactly rather than approached.
+        t = SCAN_UPPER * i / SCAN_STEPS
+        u = _poly_u(coefficients, t)
+        if u == 0.0:
+            root_t = t
+            break
+        if (u > 0.0) != (prev_u > 0.0):
+            # Bisect the bracket [prev_t, t] on U.
+            lo, hi = prev_t, t
+            u_lo = prev_u
+            while hi - lo > 1e-16 * hi:
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                u_mid = _poly_u(coefficients, mid)
+                if u_mid == 0.0:
+                    lo = hi = mid
+                    break
+                if (u_mid > 0.0) == (u_lo > 0.0):
+                    lo, u_lo = mid, u_mid
+                else:
+                    hi = mid
+            root_t = 0.5 * (lo + hi)
+            break
+        prev_t, prev_u = t, u
+    if root_t is None:
+        if coefficients[-1] > 0:
+            raise slowmode.SelfCheckError(
+                f"truncation order {order} has c_N > 0 but the root scan found no sign "
+                "change: T_N is stable iff N is odd, as F - T_N has the sign of c_(N+1)"
+            )
+        return TruncationReport(
+            order=order,
+            stable=True,
+            sign_change_x=None,
+            precedes_criticality=None,
+        )
+    x_root = math.sqrt(root_t)
+    return TruncationReport(
+        order=order,
+        stable=False,
+        sign_change_x=x_root,
+        precedes_criticality=x_root < slowmode.CRITICAL_COUPLING,
+    )
 
 
 class VelocityGrid(NamedTuple):

@@ -1,5 +1,6 @@
 """Truncation evaluation, stability classification, comparison."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -8,15 +9,20 @@ import pytest
 
 from slowmode import (
     CRITICAL_COUPLING,
+    CeSeries,
+    SelfCheckError,
     ce_coefficients,
     classify_stability,
+    cli,
     compare_to_exact,
     dispersion,
     eval_truncation,
     scaled_eigenvalue,
 )
 from slowmode.ceseries import MAX_ORDER
-from slowmode.truncation import _SCAN_UPPER
+from slowmode.truncation import _CAUCHY_BOUND
+
+from conftest import scan_classify_stability
 
 
 @pytest.fixture(scope="module")
@@ -136,11 +142,12 @@ class TestClassifyStability:
             assert report.stable == (order % 2 == 1), order
 
     def test_scan_window_covers_cauchy_bound(self):
-        # Every root t of U_N satisfies |t| <= 1 + max_{n<N} |c_n| / |c_N|
-        # (Cauchy), so the scan is exhaustive iff that bound stays within
-        # the window for every order.  Checked in exact integers.
+        # Every root t of U_N satisfies |t| < 1 + max_{n<N} |c_n| / |c_N|
+        # (Cauchy), so [0, 2] brackets the one root of an even order, and
+        # U(2) has the sign of c_N, iff that bound stays within 2 for
+        # every order.  Checked in exact integers.
         magnitudes = [abs(c) for c in ce_coefficients(MAX_ORDER).coefficients]
-        upper = Fraction(_SCAN_UPPER)
+        upper = Fraction(_CAUCHY_BOUND)
         largest_below = 0
         bounds = []
         for c_n in magnitudes:
@@ -184,6 +191,91 @@ class TestClassifyStability:
         # Frozen from an independent fine scan of -1 + t - 4 t^2 + 27 t^3.
         report = classify_stability(series10, 4)
         assert report.sign_change_x == pytest.approx(0.5897591328251566, abs=1e-12)
+
+    def test_matches_scan_oracle(self):
+        # The scan-and-bisect the parity rule replaced, kept in conftest:
+        # same verdict and the same root bit for bit at every order whose
+        # coefficients are doubles.
+        series = ce_coefficients(150)
+        for order in range(1, 151):
+            assert classify_stability(series, order) == scan_classify_stability(series, order), order
+
+
+#: A series that breaks the bracket: c_4 > 0 but U(2) = -1 + 2 - 1600 + 216 < 0.
+BROKEN_BRACKET = CeSeries(4, (-1, 1, -400, 27))
+
+
+class TestSelfCheck:
+    def test_bracket_failure_raises(self):
+        with pytest.raises(SelfCheckError, match=r"order 4: U\(2\) = -1383\.0"):
+            classify_stability(BROKEN_BRACKET, 4)
+
+    def test_bracket_failure_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ce_coefficients", lambda order: BROKEN_BRACKET)
+        assert cli.main(["compare", "--orders", "4", "--points", "2"]) == 4
+        assert "self-check failure" in capsys.readouterr().err
+
+
+def s_fraction_coefficients(moments: list[int], digits: int) -> list[decimal.Decimal]:
+    """Coefficients a_1, a_2, ... of the S-fraction
+    sum_n moments[n] (-z)^n = moments[0] / (1 + a_1 z / (1 + a_2 z / (1 + ...))),
+    by Rutishauser's qd algorithm in ``digits``-digit decimal arithmetic:
+    a_(2j-1) = q_j^(0) and a_(2j) = e_j^(0).  M moments give M - 1
+    coefficients."""
+    with decimal.localcontext() as context:
+        context.prec = digits
+        mu = [decimal.Decimal(m) for m in moments]
+        q = [mu[k + 1] / mu[k] for k in range(len(mu) - 1)]
+        e = [decimal.Decimal(0)] * len(mu)
+        coefficients = []
+        while q:
+            coefficients.append(q[0])
+            e = [q[k + 1] - q[k] + e[k + 1] for k in range(len(q) - 1)]
+            if not e:
+                break
+            coefficients.append(e[0])
+            q = [q[k + 1] * e[k + 1] / e[k] for k in range(len(e) - 1)]
+    return coefficients
+
+
+def hankel_pivots(moments: list[int], size: int) -> list[Fraction]:
+    """Pivots of Gaussian elimination, without row exchanges, of the
+    Hankel matrix [moments[i + j]] of order ``size``, in exact Fractions:
+    the determinant H_k of the leading k-by-k block is the product of the
+    first k pivots."""
+    rows = [[Fraction(moments[i + j]) for j in range(size)] for i in range(size)]
+    pivots = []
+    for k in range(size):
+        pivot = rows[k][k]
+        pivots.append(pivot)
+        for row in rows[k + 1 :]:
+            factor = row[k] / pivot
+            for j in range(k, size):
+                row[j] -= factor * rows[k][j]
+    return pivots
+
+
+class TestStieltjesPremise:
+    # The parity rule and the one-root bisection rest on mu_n = |c_(n+1)|
+    # being moments of a positive measure on [0, inf).
+
+    def test_s_fraction_coefficients_are_positive(self):
+        moments = [abs(c) for c in ce_coefficients(MAX_ORDER).coefficients]
+        coefficients = s_fraction_coefficients(moments, 700)
+        # Positive coefficients make the 199th convergent a Stieltjes
+        # function whose expansion carries mu_0..mu_198.
+        assert len(coefficients) == 199
+        assert all(a > 0 for a in coefficients)
+        assert [float(a) for a in coefficients[:4]] == [1.0, 3.0, 11 / 3, 167 / 33]
+        assert float(coefficients[-1]) / 199 == pytest.approx(1.0046, abs=1e-4)
+
+    def test_hankel_determinants_are_positive(self):
+        # H_k^(0) = det[mu_(i+j)] and H_k^(1) = det[mu_(i+j+1)], k <= 15:
+        # every leading pivot positive makes every leading minor positive.
+        moments = [abs(c) for c in ce_coefficients(30).coefficients]
+        for shift in (0, 1):
+            pivots = hankel_pivots(moments[shift:], 15)
+            assert all(p > 0 for p in pivots), shift
 
 
 class TestCompareToExact:
