@@ -404,13 +404,17 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _load("dispersion", "kinetic")
+    # The layers load once the command's own checks pass; the grid
+    # loads dispersion first when it needs the critical wave number.
     tau = _validate_positive(args.tau, "--tau")
+    if args.kmax is None:
+        _load("dispersion")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
     t_end = args.t_end if args.t_end is not None else 40.0 * tau
     t_end = _validate_positive(t_end, "t_end")
     if args.dt is not None:
         _validate_dt(args.dt, t_end)
+    _load("dispersion", "kinetic")
     header = [
         "k",
         "tau_k",
@@ -447,10 +451,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _load("kinetic")
     tau = _validate_positive(args.tau, "--tau")
     if args.gap_threshold is not None:
         _validate_positive(args.gap_threshold, "gap threshold")
+    _load("kinetic")
     op = build_operator(args.k, tau, args.velocities)
     spectrum = operator_spectrum(op, gap_threshold=args.gap_threshold)
     eigenvalues = spectrum.eigenvalues

@@ -27,6 +27,15 @@ supercritical x), takes y from the Halley loop of
 1/x - x < y < (3 - sqrt(1 + 4x^2))/(2x), and self-checks the residual
 |phi(y) - tau k|, reusing the solver's phi(y) when the loop already
 evaluated it.
+
+On the branch, Laplace's continued fraction phi(y) = 1/(y + 1/a_1(y))
+turns F = x y - 1, which cancels as y -> 1/x, into F = -x/a_1(y), and
+so lambda_d = -k/a_1(y), with nothing subtracted and no x^2 to
+underflow at tiny tau.  :func:`branch_point` takes that route for
+y >= 3 (x <= phi(3) ~ 0.3046), and x y - 1 above it, where the
+cancellation costs at most a few roundings.  Both routes are
+evaluated at the switch itself once, at import, and a point that
+takes the fraction route raises SelfCheckError if they disagree.
 """
 
 import math
@@ -34,7 +43,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import SelfCheckError, _validate_nonnegative, _validate_tau
-from .special import phi, solve_phi
+from .special import laplace_tail, phi, solve_phi
 
 __all__ = [
     "CRITICAL_COUPLING",
@@ -58,6 +67,13 @@ NEAR_CRITICAL_WINDOW = 1e-8
 
 #: Residual bound the solver must meet; exceeding it is a defect.
 _RESIDUAL_LIMIT = 1e-8
+
+#: Roots y >= this take lambda_d = -k/a_1(y) from Laplace's fraction.
+_FRACTION_FROM = 3.0
+
+#: Relative gap the two routes to F may show at the switch: x y - 1
+#: errs there by a few roundings, the fraction by about one.
+_SWITCH_TOLERANCE = 1e-13
 
 
 class BranchPoint(NamedTuple):
@@ -128,7 +144,8 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
 
     ValueError for a subnormal tau*k, where the bracket 1/x - x of
     :func:`solve_phi` overflows; SelfCheckError when the residual
-    exceeds its bound.
+    exceeds its bound, or when the root takes the continued-fraction
+    route while the two routes to F disagree at the switch.
     """
     k = _validate_nonnegative(k, "wave number k")
     tau = _validate_tau(tau)
@@ -149,17 +166,47 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
             f"dispersion solve at k={k!r}, tau={tau!r} left residual "
             f"{residual!r} > {_RESIDUAL_LIMIT!r}"
         )
+    if y >= _FRACTION_FROM:
+        if not _SWITCH_GAP <= _SWITCH_TOLERANCE:
+            raise SelfCheckError(
+                f"the two routes to F disagree at y = {_FRACTION_FROM!r}: "
+                f"x y - 1 and -x/a_1(y) differ by {_SWITCH_GAP!r} relative"
+            )
+        eigenvalue = -k / laplace_tail(y, _tail_depth(y))
+    else:
+        eigenvalue = (x * y - 1.0) / tau
     # Positional: the fields are k, tau, eigenvalue, residual,
     # near_critical, bracket_width, iterations.
     return BranchPoint(
         k,
         tau,
-        (x * y - 1.0) / tau,
+        eigenvalue,
         residual,
         CRITICAL_COUPLING - x <= NEAR_CRITICAL_WINDOW,
         width,
         iterations,
     )
+
+
+def _tail_depth(y: float) -> int:
+    """Levels of Laplace's fraction that give a_1(y) to about one
+    rounding for y >= 3; y * y overflows to inf, and the depth to 8,
+    for the largest y."""
+    return math.ceil(500.0 / (y * y)) + 8
+
+
+def _switch_gap() -> float:
+    """Relative gap between F = x y - 1 and F = -x/a_1(y) at the
+    switch y = 3, x = phi(3), where both routes hold."""
+    y = _FRACTION_FROM
+    x = phi(y)
+    fraction = -x / laplace_tail(y, _tail_depth(y))
+    return abs((x * y - 1.0) - fraction) / -fraction
+
+
+#: The two routes compared once, at import; a fraction route taken
+#: while they disagree is a defect.
+_SWITCH_GAP = _switch_gap()
 
 
 def sample_branch(tau, k_values) -> BranchTable:

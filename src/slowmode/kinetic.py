@@ -34,7 +34,10 @@ polynomial of the propagator squared up from a short step, so only
 so the degree-d polynomial is built on its own 2d + 1 diagonals in
 O(d^2 q), and written into a dense q x q matrix in O(q^2); the
 squarings, and RK4's norm check, are the only q x q matrix products,
-O(q^3) each.
+O(q^3) each.  They run in the polynomial's matrix and two more q x q
+buffers, allocated once per simulation and reused by every squaring,
+and the powers they form also give the first rows of the trace's
+split (see ``simulate_density``).
 
 This is the one layer that needs numpy.  Each function imports it in its
 own body, so importing the module, and every refusal made before the
@@ -208,26 +211,32 @@ def _default_dt(op: DiscreteOperator) -> float:
     return min(0.01 * op.tau, 1.0 / rate)
 
 
-def _square(y: np.ndarray) -> np.ndarray:
-    """2Y + Y^2, the Y of P^2 = I + 2Y + Y^2 for P = I + Y, with every
-    entry below 2^-500 max|Y| set to zero.
+def _square(y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write 2Y + Y^2, the Y of P^2 = I + 2Y + Y^2 for P = I + Y, into
+    ``out``, with every entry below 2^-500 max|Y| set to zero.
 
-    One matrix product, O(q^3), and one q x q buffer: 2Y goes into it
-    and is added to the product in place (a two-term sum commutes, so
-    the sum is bit for bit 2.0 * Y + Y @ Y), then |2Y + Y^2| replaces
-    it for the threshold and the drop.  The dropped entries move Y by
-    at most q 2^-500 max|Y| in norm, far below one rounding, and keep
-    the operands of the next squaring clear of subnormal numbers,
-    which slow the product several-fold.
+    One matrix product, O(q^3), into ``out``, and two more q x q
+    buffers the caller owns: Y itself and ``scratch``, so a run of
+    squarings that alternates ``out`` and Y allocates nothing q x q.
+    2Y goes into ``scratch`` and is added to the product in place (a
+    two-term sum commutes, so the sum is bit for bit 2.0 * Y + Y @ Y).
+    max|2Y + Y^2| comes from its two extremes, and the entries strictly
+    between plus and minus the threshold, those whose magnitude is
+    below it, are marked in two masks laid over ``scratch``'s bytes.
+    The dropped entries move Y by at most q 2^-500 max|Y| in norm, far
+    below one rounding, and keep the operands of the next squaring
+    clear of subnormal numbers, which slow the product several-fold.
     """
     import numpy as np
 
-    z = y @ y
-    buffer = np.multiply(y, 2.0)
-    z += buffer
-    magnitude = np.abs(z, out=buffer)
-    z[magnitude < math.ldexp(float(magnitude.max()), -500)] = 0.0
-    return z
+    np.matmul(y, y, out=out)
+    out += np.multiply(y, 2.0, out=scratch)
+    # A NaN makes both extremes, and so the threshold, NaN: nothing drops.
+    threshold = math.ldexp(max(float(out.max()), -float(out.min())), -500)
+    below, above = scratch.reshape(-1).view(np.bool_)[: 2 * out.size].reshape(2, *out.shape)
+    np.less(out, threshold, out=below)
+    np.greater(out, -threshold, out=above)
+    out[np.logical_and(below, above, out=below)] = 0.0
 
 
 def _three_diagonals(t: np.ndarray) -> np.ndarray:
@@ -261,8 +270,9 @@ def _taylor_part(diagonals: np.ndarray, h: float, degree: int) -> np.ndarray:
     runs on those 2d + 1 diagonals alone: C Y is a row-scaled copy of
     Y plus the rows above and below it scaled by C's sub- and
     super-diagonals.  That is O(d q) per degree, O(d^2 q) in all, where
-    a q x q matrix product is O(q^3); writing the band into the dense,
-    contiguous Y is O(q^2).
+    a q x q matrix product is O(q^3).  The band is then written, one
+    diagonal at a time, straight into a zeroed q x q Y, the one q x q
+    array this allocates.
     """
     import numpy as np
 
@@ -279,14 +289,46 @@ def _taylor_part(diagonals: np.ndarray, h: float, degree: int) -> np.ndarray:
         z[1:, :-1] += upper * band[:-1, 1:]
         z[middle] += scaled
         band = z
-    # band.T[i] is row i of Y from column i - degree.  Written at the
-    # start of rows of q + width entries and read back in rows one
-    # shorter, it moves i columns right, onto Y's diagonals; the entries
-    # off the matrix land in the degree columns of padding either side.
-    padded = np.zeros(q * (q + width))
-    padded.reshape(q, q + width)[:, :width] = band.T
-    y = padded[: q * (q + width - 1)].reshape(q, q + width - 1)[:, degree : degree + q]
-    return np.ascontiguousarray(y)
+    # Y[i, i + o] is entry i (q + 1) + o of Y's rows laid end to end;
+    # the band entries off the matrix are left out.
+    y = np.zeros((q, q))
+    flat = y.reshape(-1)
+    for o in range(max(-degree, 1 - q), min(degree, q - 1) + 1):
+        if o >= 0:
+            flat[o :: q + 1][: q - o] = band[degree + o, : q - o]
+        else:
+            flat[-o * q :: q + 1] = band[degree + o, -o:]
+    return y
+
+
+def _quarter_norm(diagonals: np.ndarray) -> float:
+    """||T||_1 / 4 for the tridiagonal T given as its ``_three_diagonals``:
+    column j of |T| / 4 summed as T[j-1, j], T[j, j], T[j+1, j], in row
+    order, so bit for bit ``abs(0.25 * T).sum(axis=0).max()`` without
+    a q x q array."""
+    import numpy as np
+
+    lower, diagonal, upper = np.abs(0.25 * diagonals)
+    column = diagonal.copy()
+    column[1:] = upper[:-1] + diagonal[1:]
+    column[:-1] += lower[1:]
+    return float(column.max())
+
+
+def _step_norm(y: np.ndarray, p: np.ndarray, gram: np.ndarray) -> float:
+    """||P||_2 for P = I + Y, formed in the q x q buffers ``p`` and
+    ``gram``: the root of the largest eigenvalue of P^T P, one
+    symmetric eigensolve in place of a full SVD.  A non-finite P gives
+    a non-finite P^T P, as does an overflowing product, and the norm
+    is then infinite.  Y + 0.0 turns -0.0 into 0.0, so P is bit for
+    bit ``np.eye(q) + y``."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(y, 0.0, out=p)
+        p.reshape(-1)[:: y.shape[0] + 1] += 1.0
+        np.matmul(p.T, p, out=gram)
+    return math.sqrt(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
 
 
 def simulate_density(
@@ -320,13 +362,21 @@ def simulate_density(
 
     Each step index is then split as n = a + m b with m the smallest
     power of two such that m^2 exceeds the step count, so rho_n is the
-    product of a head row e^T P^a (a < m), stepped as r + r Y, and a
-    tail row P^(m b) e, stepped by P^m = I + Y_m with Y_m from
-    log2(m) more squarings: about 2 m vector products and s + log2(m)
-    matrix products instead of one vector product per step (RK4 adds
-    one product and a symmetric eigensolve for its check).  Every
+    product of a head row e^T P^a (a < m) and a tail row P^(m b) e.
+    The head is read off log2(m) more squarings, Y_j -> Y_2j for
+    Y_j = P^j - I: before each, rows j..2j - 1 become rows 0..j - 1
+    plus their product with Y_j, so log2(m) block products build it
+    and no head row carries more than log2(m) such steps.  The last
+    squaring leaves P^m = I + Y_m, which steps the tail row by row as
+    r + Y_m r, about N/m vector products: s + log2(m) matrix products
+    in all instead of one vector product per step (RK4 adds one
+    product and a symmetric eigensolve for its check).  Every
     squaring drops the entries below 2^-500 max|Y| (see ``_square``),
-    and the scaling squarings stop once Y no longer changes.  A last
+    and the scaling squarings stop once Y no longer changes.  The q x q
+    working set is Y and two buffers allocated once per call: each
+    squaring writes into one and the other is its scratch, RK4's check
+    forms P and P^T P in them, and both are released before the tail
+    rows are stepped.  A last
     step past the double range raises ValueError, as do, before any
     allocation, more than 2**24 steps x nodes, and then an
     ``op.matrix`` with a nonzero entry off its three diagonals.
@@ -367,7 +417,7 @@ def simulate_density(
     if method == "expm":
         # ||dt T||_1 = 4 dt quarter < 2^(e_dt + e_quarter + 2) by frexp,
         # which neither overflows nor rounds; so theta = ||hT||_1 < 1/2.
-        quarter = float(abs(0.25 * op.matrix).sum(axis=0).max())
+        quarter = _quarter_norm(diagonals)
         squarings = max(0, math.frexp(dt)[1] + math.frexp(quarter)[1] + 3)
         theta = 4.0 * quarter * math.ldexp(dt, -squarings)
         # With theta < 1/2 the remainder past degree d = n - 1 is below
@@ -378,32 +428,35 @@ def simulate_density(
     h = math.ldexp(dt, -squarings)
     with np.errstate(over="ignore", invalid="ignore"):
         y = _taylor_part(diagonals, h, degree)
+    # Y and these two are the q x q working set: every squaring writes
+    # into ``spare``, which then trades places with Y.
+    spare, scratch = np.empty((q, q)), np.empty((q, q))
     if method == "rk4":
-        # ||P||_2 is the root of the largest eigenvalue of P^T P: one
-        # symmetric eigensolve in place of a full SVD.  A non-finite P
-        # gives a non-finite P^T P, as does an overflowing product.
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.eye(q) + y
-            gram = p.T @ p
-        norm = math.sqrt(np.linalg.eigvalsh(gram)[-1]) if np.isfinite(gram).all() else math.inf
+        norm = _step_norm(y, spare, scratch)
         if norm > 1.0 + 1e-9:
             raise ValueError(
                 f"dt = {dt!r} gives an expansive RK4 step, ||P||_2 = {norm:.6g}: reduce dt"
             )
     for _ in range(squarings):
-        y, previous = _square(y), y
-        if np.array_equal(y, previous):  # a fixed point stays fixed
+        _square(y, spare, scratch)
+        y, spare = spare, y
+        if np.array_equal(y, spare):  # a fixed point stays fixed
             break
-    # ndarray.dot with out= skips matmul's ufunc overhead, about half a
-    # microsecond in each of ~2m calls; it would copy a strided y on
-    # every call, and each y here is contiguous.
+    # Rows j..2j - 1 of the head are rows 0..j - 1 times P^j = I + Y_j,
+    # taken before Y_j is squared to Y_2j: log2(m) block products.
     head = np.empty((m, q))
     head[0] = op.density_vector
-    for previous, row in zip(head, head[1:]):
-        previous.dot(y, out=row)
-        row += previous
-    for _ in range(m.bit_length() - 1):
-        y = _square(y)
+    j = 1
+    while j < m:
+        np.matmul(head[:j], y, out=head[j : 2 * j])
+        head[j : 2 * j] += head[:j]
+        _square(y, spare, scratch)
+        y, spare = spare, y
+        j *= 2
+    del spare, scratch
+    # ndarray.dot with out= skips matmul's ufunc overhead, about half a
+    # microsecond in each of ~N/m calls; it would copy a strided y on
+    # every call, and each y here is contiguous.
     tail = np.empty((math.ceil((steps + 1) / m), q))
     tail[0] = op.density_vector
     for previous, row in zip(tail, tail[1:]):

@@ -17,6 +17,10 @@ profile ODE phi'(y) = y phi(y) - 1 supplies phi' and phi'' from each
 phi value, so one phi evaluation buys a third-order step.  The loop
 evaluates phi at one site, through ``_erfcx`` as :func:`phi` does, so
 every value is bit-identical to :func:`phi`'s.
+
+``laplace_tail`` is the tail a_1(y) = y + 2/(y + 3/(y + ...)) of
+Laplace's continued fraction phi(y) = 1/(y + 1/a_1(y)), evaluated
+bottom-up to a depth its caller names; unchecked too.
 """
 
 import math
@@ -54,6 +58,22 @@ def _erfcx(y: float) -> float:
         if abs(term) < 1e-17 * acc:
             break
     return acc * _ISQRT_PI / y
+
+
+def laplace_tail(y: float, depth: int) -> float:
+    """a_1(y) = y + 2/(y + 3/(y + ... + (depth + 1)/y)), the tail of
+    Laplace's continued fraction for the Mills ratio,
+    phi(y) = 1/(y + 1/a_1(y)) (Abramowitz and Stegun 26.2.14), cut
+    ``depth`` levels below its first y and evaluated bottom-up.
+
+    For y > 0 every level adds positive terms, so nothing cancels;
+    ``depth`` = ceil(500/y^2) + 8 gives a_1 to about one rounding for
+    y >= 3, and a_1(y) -> y as y -> inf.
+    """
+    tail = y
+    for n in range(depth + 1, 1, -1):
+        tail = y + n / tail
+    return tail
 
 
 def erfcx(y: float) -> float:

@@ -561,8 +561,9 @@ def split_rk4_unflushed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``simulate_density(op, dt=dt, method="rk4")`` as it was before its
     squarings dropped entries below 2^-500 max|Y|, with its Horner build
-    on T's three diagonals: the density trace, and the last squared Y,
-    whose tiny entries the drop would have cut."""
+    on T's three diagonals and its head rows j..2j - 1 taken from rows
+    0..j - 1 and Y_j = P^j - I before each squaring: the density trace,
+    and the last squared Y, whose tiny entries the drop would have cut."""
     q = _size(op)
     y = kinetic._taylor_part(kinetic._three_diagonals(op.matrix), dt, 4)
     m = 2
@@ -571,10 +572,11 @@ def split_rk4_unflushed(
     s = op.density_vector
     head = np.empty((m, q))
     head[0] = s
-    for a in range(1, m):
-        head[a] = head[a - 1] + head[a - 1] @ y
-    for _ in range(m.bit_length() - 1):
+    j = 1
+    while j < m:
+        head[j : 2 * j] = head[:j] + head[:j] @ y
         y = 2.0 * y + y @ y
+        j *= 2
     tail = np.empty((math.ceil((steps + 1) / m), q))
     tail[0] = s
     for b in range(1, tail.shape[0]):

@@ -742,6 +742,23 @@ class TestErrorHandling:
         for noise in ("RuntimeWarning", "DLASCL", "Traceback"):
             assert noise not in result.stderr
 
+    @pytest.mark.parametrize(
+        "args, column, expected",
+        [
+            (["branch", "--tau", "1e-300", "--kmin", "1e-3", "--kmax", "2e-3"], 2, -1e-306),
+            (["simulate", "--kmin", "1e-300", "--kmax", "2e-300", "--velocities", "2"], 3, 0.0),
+            (["simulate", "--tau", "1e-300", "--kmin", "0.5", "--kmax", "0.6"]
+             + ["--velocities", "3"], 3, -2.5e-301),
+        ],
+    )
+    def test_slow_rate_at_tiny_tau_k(self, args, column, expected):
+        # lambda = -tau k^2 to leading order: -1e-306, -1e-600 (which
+        # rounds to zero) and -2.5e-301.  x y - 1 cancelled here.
+        result = run_cli(args + ["--points", "1"])
+        assert result.returncode == 0
+        value = float(csv_sections(result.stdout)[0][1][column])
+        assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_missing_required_argument_exits_2(self):
         result = run_cli(["spectrum"])
         assert result.returncode == 2

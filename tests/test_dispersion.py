@@ -98,8 +98,8 @@ class TestScaledEigenvalue:
         assert abs(scaled_eigenvalue(x) - partial) <= 1e-8
 
     @given(
-        st.floats(1e-3, CRITICAL_COUPLING, exclude_max=True),
-        st.floats(1e-3, CRITICAL_COUPLING, exclude_max=True),
+        st.floats(1e-150, CRITICAL_COUPLING, exclude_max=True),
+        st.floats(1e-150, CRITICAL_COUPLING, exclude_max=True),
     )
     def test_bounded_and_decreasing(self, a, b):
         # The step x1 (1 + 1e-6) stays far above the solver's precision.
@@ -168,31 +168,41 @@ class TestSolveDiffusionMode:
             solve_diffusion_mode(math.nan, 1.0)
 
 
+#: F(x) = sum c_n x^(2n): the first six coefficients, exact.
+LEADING_SERIES = (-1, 1, -4, 27, -248, 2830)
+
+
+def scaled_eigenvalue_mp(x: float):
+    """F(x) in 50-digit mpmath: below x = 1e-4 the first six terms of
+    its series, whose next term c_7 x^14 is below 1e-48 relative; above
+    it x y - 1 at the 50-digit root of phi(y) = x."""
+    with mpmath.workdps(50):
+        if x < 1e-4:
+            return sum(c * mpmath.mpf(x) ** (2 * n) for n, c in enumerate(LEADING_SERIES, 1))
+        value = scaled_eigenvalue(x)
+        return x * phi_root_mp(x, (value + 1.0) / x) - 1
+
+
 class TestScaledEigenvalueAccuracy:
     @pytest.mark.parametrize(
-        "xs, bound",
+        "xs",
         [
-            ([0.1 + (CRITICAL_COUPLING - 0.1) * i / 150 for i in range(150)], 2.5e-13),
-            # F = x y - 1 cancels here (y ~ 1/x), which sets the bound.
-            ([1e-3 * 100.0 ** (i / 150) for i in range(150)], 5e-10),
+            [0.1 + (CRITICAL_COUPLING - 0.1) * i / 150 for i in range(150)],
+            [1e-3 * 100.0 ** (i / 150) for i in range(150)],
+            [1e-150 * 1e147 ** (i / 150) for i in range(150)],
         ],
-        ids=["uniform-0.1-to-critical", "geometric-1e-3-to-0.1"],
+        ids=["uniform-0.1-to-critical", "geometric-1e-3-to-0.1", "geometric-1e-150-to-1e-3"],
     )
-    def test_relative_error_against_mpmath(self, xs, bound):
+    def test_relative_error_against_mpmath(self, xs):
+        # Below x = phi(3) ~ 0.3046, F = -x/a_1(y) subtracts nothing;
+        # above it x y - 1 cancels by at most a factor 12.
         worst = 0.0
         for x in xs:
-            value = scaled_eigenvalue(x)
-            root = phi_root_mp(x, (value + 1.0) / x)
+            exact = scaled_eigenvalue_mp(x)
             with mpmath.workdps(50):
-                exact = x * root - 1
-                worst = max(worst, float(abs((value - exact) / exact)))
-        assert worst <= bound
+                worst = max(worst, float(abs((scaled_eigenvalue(x) - exact) / exact)))
+        assert worst <= 1e-14
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: F = x y - 1 cancels for small x, "
-        "and F(5e-9) is exactly 0.0",
-    )
     @pytest.mark.parametrize("x", [5e-9, 1e-8, 1e-6])
     def test_small_x_matches_leading_series(self, x):
         # -x^2 + x^4 is exact here to 4 x^4 relative: the next term is -4 x^6.
@@ -289,6 +299,34 @@ class TestBranchPoint:
         ):
             assert cli.main(argv) == 4, argv
             assert "self-check failure" in capsys.readouterr().err, argv
+
+    def test_drifting_fraction_fails_self_check_at_the_switch(self, monkeypatch, capsys):
+        # At y = 3 both routes to F hold; a fraction kernel off by 1e-9
+        # opens a gap there, and every point that takes the fraction
+        # route is then refused.
+        assert dispersion._SWITCH_GAP <= 1e-15
+        laplace_tail = dispersion.laplace_tail
+        monkeypatch.setattr(
+            dispersion, "laplace_tail", lambda y, depth: laplace_tail(y, depth) * (1.0 + 1e-9)
+        )
+        monkeypatch.setattr(dispersion, "_SWITCH_GAP", dispersion._switch_gap())
+        assert branch_point(1.0, 1.0).eigenvalue < 0.0  # y < 3: no fraction
+        with pytest.raises(SelfCheckError, match="disagree at y = 3.0"):
+            branch_point(0.1, 1.0)
+        for argv in (
+            ["branch", "--points", "5"],  # x = 0.25 is the first with y >= 3
+            ["compare", "--points", "5"],
+            ["simulate", "--points", "1", "--kmin", "0.1", "--velocities", "8"],
+        ):
+            assert cli.main(argv) == 4, argv
+            assert "self-check failure" in capsys.readouterr().err, argv
+
+    def test_routes_meet_at_the_switch(self):
+        # Either side of y = 3 the two routes to F give one curve.
+        x = slowmode.phi(3.0)
+        below, above = (scaled_eigenvalue(x * (1.0 + d)) for d in (-1e-12, 1e-12))
+        assert above < below < 0.0
+        assert (below - above) / -below <= 5e-12
 
     def test_near_critical_flag(self):
         assert branch_point(CRITICAL_COUPLING - 1e-9, 1.0).near_critical

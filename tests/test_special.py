@@ -270,6 +270,25 @@ def float_bits(values) -> tuple:
 SWITCH_Y = 25.0 * math.sqrt(2.0)
 
 
+class TestLaplaceTail:
+    @pytest.mark.parametrize("y", [3.0, 3.3, 4.0, 5.5, 8.0, 13.0, 40.0, 300.0, 1e4])
+    def test_matches_mpmath_at_the_branch_depth(self, y):
+        # a_1 = 1/(1/phi(y) - y) from 1/phi(y) = y + 1/a_1(y); the
+        # subtraction cancels about 2 log10(y) digits, so the working
+        # precision grows with y.
+        with mpmath.workdps(40 + 2 * int(math.log10(y))):
+            exact = 1 / (1 / phi_mp(mpmath.mpf(y)) - y)
+            value = special.laplace_tail(y, math.ceil(500.0 / (y * y)) + 8)
+            assert float(abs(value / exact - 1)) <= 2.5e-16
+
+    def test_depth_and_limits(self):
+        # depth 0 is y itself, each level adds a positive term, and a_1
+        # stays finite at the largest root the branch reaches.
+        assert special.laplace_tail(3.0, 0) == 3.0
+        assert special.laplace_tail(3.0, 1) == 3.0 + 2.0 / 3.0
+        assert special.laplace_tail(4.5e307, 8) == 4.5e307
+
+
 class TestOneSiteLoopIsBitIdentical:
     """``solve_phi`` evaluates phi at one site, the head of its loop,
     the lower end a included; every value must match the two-call

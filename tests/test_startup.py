@@ -123,8 +123,38 @@ CHECKS = {
         import contextlib, io, sys
         from slowmode.cli import main
 
+        def refuse(argv, message):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(argv) == 2, argv
+            assert err.getvalue() == f"slowmode: error: {message}\\n", err.getvalue()
+
+        # A bad tau, horizon, step or gap threshold is refused before
+        # the kinetic layer loads, and, with --kmax given, before the
+        # dispersion layer does too.
         for argv, message in (
             (["simulate", "--tau", "nan"], "--tau must be positive, got nan"),
+            (["simulate", "--kmax", "1", "--dt", "-1"], "dt must be in (0, t_end], got -1.0"),
+            (["simulate", "--kmax", "1", "--t-end", "0"], "t_end must be positive, got 0.0"),
+            (["spectrum", "--k", "0.5", "--tau", "-1"], "--tau must be positive, got -1.0"),
+            (
+                ["spectrum", "--k", "0.5", "--gap-threshold", "-1"],
+                "gap threshold must be positive, got -1.0",
+            ),
+        ):
+            refuse(argv, message)
+        assert not {"slowmode.dispersion", "slowmode.kinetic"} & set(sys.modules)
+        for argv, message in (
+            (["simulate", "--dt", "-1"], "dt must be in (0, t_end], got -1.0"),
+            (["simulate", "--t-end", "-1"], "t_end must be positive, got -1.0"),
+            (
+                ["simulate", "--points", "1", "--t-end", "0.01", "--dt", "0.02"],
+                "dt must be in (0, t_end], got 0.02",
+            ),
+        ):
+            refuse(argv, message)
+        assert "slowmode.kinetic" not in sys.modules
+        for argv, message in (
             (["simulate", "--velocities", "1"], "velocity grid size must be in 2..256, got 1"),
             (
                 ["simulate", "--points", "1", "--velocities", "871"],
@@ -139,17 +169,8 @@ CHECKS = {
                 ["spectrum", "--k", "0.5", "--velocities", "300"],
                 "velocity grid size must be in 2..256, got 300",
             ),
-            (["simulate", "--dt", "-1"], "dt must be in (0, t_end], got -1.0"),
-            (["simulate", "--t-end", "-1"], "t_end must be positive, got -1.0"),
-            (
-                ["spectrum", "--k", "0.5", "--gap-threshold", "-1"],
-                "gap threshold must be positive, got -1.0",
-            ),
         ):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                assert main(argv) == 2, argv
-            assert err.getvalue() == f"slowmode: error: {message}\\n", err.getvalue()
+            refuse(argv, message)
         assert "numpy" not in sys.modules
     """,
     "package_names": """
