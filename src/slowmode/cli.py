@@ -38,6 +38,7 @@ from .errors import (
     _validate_dt,
     _validate_nonnegative,
     _validate_positive,
+    _validate_t_end,
 )
 
 #: Largest grid a command builds; larger ones are refused before allocation.
@@ -410,8 +411,7 @@ def cmd_simulate(args) -> int:
     if args.kmax is None:
         _load("dispersion")
     grid = _wave_grid(args.kmin, args.kmax, args.points, tau)
-    t_end = args.t_end if args.t_end is not None else 40.0 * tau
-    t_end = _validate_positive(t_end, "t_end")
+    t_end = _validate_t_end(args.t_end, tau)
     if args.dt is not None:
         _validate_dt(args.dt, t_end)
     _load("dispersion", "kinetic")

@@ -43,7 +43,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import SelfCheckError, _validate_nonnegative, _validate_tau
-from .special import laplace_tail, phi, solve_phi
+from .special import laplace_tail, phi, solve_phi, tail_depth
 
 __all__ = [
     "CRITICAL_COUPLING",
@@ -172,7 +172,7 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
                 f"the two routes to F disagree at y = {_FRACTION_FROM!r}: "
                 f"x y - 1 and -x/a_1(y) differ by {_SWITCH_GAP!r} relative"
             )
-        eigenvalue = -k / laplace_tail(y, _tail_depth(y))
+        eigenvalue = -k / laplace_tail(y, tail_depth(y))
     else:
         eigenvalue = (x * y - 1.0) / tau
     # Positional: the fields are k, tau, eigenvalue, residual,
@@ -188,19 +188,12 @@ def branch_point(k: float, tau: float = 1.0) -> BranchPoint | None:
     )
 
 
-def _tail_depth(y: float) -> int:
-    """Levels of Laplace's fraction that give a_1(y) to about one
-    rounding for y >= 3; y * y overflows to inf, and the depth to 8,
-    for the largest y."""
-    return math.ceil(500.0 / (y * y)) + 8
-
-
 def _switch_gap() -> float:
     """Relative gap between F = x y - 1 and F = -x/a_1(y) at the
     switch y = 3, x = phi(3), where both routes hold."""
     y = _FRACTION_FROM
     x = phi(y)
-    fraction = -x / laplace_tail(y, _tail_depth(y))
+    fraction = -x / laplace_tail(y, tail_depth(y))
     return abs((x * y - 1.0) - fraction) / -fraction
 
 

@@ -57,6 +57,19 @@ def _validate_dt(dt: float, t_end: float) -> float:
     return dt
 
 
+def _validate_t_end(t_end: float | None, tau: float) -> float:
+    """``t_end`` as a float, refused unless finite and > 0; None gives
+    the default horizon 40 tau, refused when it overflows."""
+    if t_end is None:
+        t_end = 40.0 * tau
+        if t_end == math.inf:
+            raise ValueError(
+                f"the default t_end = 40 tau overflows for tau = {tau!r}: "
+                "give t_end explicitly"
+            )
+    return _validate_positive(t_end, "t_end")
+
+
 def _validate_tau(tau: float) -> float:
     tau = _validate_positive(tau, "relaxation time tau")
     if not math.isfinite(1.0 / tau):

@@ -54,6 +54,7 @@ from .errors import (
     _validate_dt,
     _validate_nonnegative,
     _validate_positive,
+    _validate_t_end,
     _validate_tau,
 )
 
@@ -301,20 +302,6 @@ def _taylor_part(diagonals: np.ndarray, h: float, degree: int) -> np.ndarray:
     return y
 
 
-def _quarter_norm(diagonals: np.ndarray) -> float:
-    """||T||_1 / 4 for the tridiagonal T given as its ``_three_diagonals``:
-    column j of |T| / 4 summed as T[j-1, j], T[j, j], T[j+1, j], in row
-    order, so bit for bit ``abs(0.25 * T).sum(axis=0).max()`` without
-    a q x q array."""
-    import numpy as np
-
-    lower, diagonal, upper = np.abs(0.25 * diagonals)
-    column = diagonal.copy()
-    column[1:] = upper[:-1] + diagonal[1:]
-    column[:-1] += lower[1:]
-    return float(column.max())
-
-
 def _step_norm(y: np.ndarray, p: np.ndarray, gram: np.ndarray) -> float:
     """||P||_2 for P = I + Y, formed in the q x q buffers ``p`` and
     ``gram``: the root of the largest eigenvalue of P^T P, one
@@ -354,8 +341,8 @@ def simulate_density(
     exact flow is non-expansive, so ||P||_2 > 1 + 1e-9 raises
     ValueError ("reduce dt"); that one check covers every state.
     ``method="expm"`` is the exponential itself, by scaling and squaring
-    (Moler and Van Loan, SIAM Rev. 45 (2003) 3): s brings ||hT||_1 into
-    [1/8, 1/2), or is 0 when ||dt T||_1 is below that already, and d is
+    (Moler and Van Loan, SIAM Rev. 45 (2003) 3): s brings ||hT||_inf into
+    [1/8, 1/2), or is 0 when ||dt T||_inf is below that already, and d is
     the first degree whose Taylor remainder bound falls below 2^-53.
     It shares no time-stepping error with RK4, and the two agree to
     ~1e-8; any dt and t_end in the double range give a finite trace.
@@ -378,14 +365,15 @@ def simulate_density(
     forms P and P^T P in them, and both are released before the tail
     rows are stepped.  A last
     step past the double range raises ValueError, as do, before any
-    allocation, more than 2**24 steps x nodes, and then an
+    allocation, an unknown method, a default t_end = 40 tau that
+    overflows, more than 2**24 steps x nodes, and then an
     ``op.matrix`` with a nonzero entry off its three diagonals.
     """
     import numpy as np
 
-    if t_end is None:
-        t_end = 40.0 * op.tau
-    t_end = _validate_positive(t_end, "t_end")
+    if method not in ("rk4", "expm"):
+        raise ValueError(f"unknown integration method {method!r}")
+    t_end = _validate_t_end(t_end, op.tau)
     if dt is None:
         dt = _default_dt(op)
         if dt > t_end:
@@ -415,16 +403,16 @@ def simulate_density(
 
     degree, squarings = 4, 0
     if method == "expm":
-        # ||dt T||_1 = 4 dt quarter < 2^(e_dt + e_quarter + 2) by frexp,
-        # which neither overflows nor rounds; so theta = ||hT||_1 < 1/2.
-        quarter = _quarter_norm(diagonals)
+        # ||T||_inf / 4 as T's row sums, read off its diagonals; a quarter
+        # of the norm stays finite where the norm itself would overflow.
+        # ||dt T||_inf = 4 dt quarter < 2^(e_dt + e_quarter + 2) by frexp,
+        # which neither overflows nor rounds; so theta = ||hT||_inf < 1/2.
+        quarter = float(np.abs(0.25 * diagonals).sum(axis=0).max())
         squarings = max(0, math.frexp(dt)[1] + math.frexp(quarter)[1] + 3)
-        theta = 4.0 * quarter * math.ldexp(dt, -squarings)
+        theta = quarter * math.ldexp(dt, 2 - squarings)
         # With theta < 1/2 the remainder past degree d = n - 1 is below
         # theta^n/n! / (1 - theta/(n+1)) < 2 theta^n/n!.
         degree = next(n for n in range(2, 64) if theta**n < math.ldexp(math.factorial(n), -54)) - 1
-    elif method != "rk4":
-        raise ValueError(f"unknown integration method {method!r}")
     h = math.ldexp(dt, -squarings)
     with np.errstate(over="ignore", invalid="ignore"):
         y = _taylor_part(diagonals, h, degree)

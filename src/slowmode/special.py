@@ -9,7 +9,8 @@ Public scalar functions, all double precision:
 Numerical contract: relative accuracy ~1e-15 for erfcx and phi.
 
 Each public function validates its argument and then calls the one
-unchecked kernel, ``_erfcx``.
+unchecked kernel, ``_erfcx``: the library erfc, rescaled, up to 25, and
+Laplace's continued fraction past 25, the one large-argument route.
 :func:`solve_phi` is unchecked too; :mod:`slowmode.dispersion` validates
 c before calling it.  It runs one Halley loop for phi(y) = c inside the
 closed-form bracket that the Mills-ratio bounds on phi give; the
@@ -20,7 +21,9 @@ every value is bit-identical to :func:`phi`'s.
 
 ``laplace_tail`` is the tail a_1(y) = y + 2/(y + 3/(y + ...)) of
 Laplace's continued fraction phi(y) = 1/(y + 1/a_1(y)), evaluated
-bottom-up to a depth its caller names; unchecked too.
+bottom-up to a depth its caller names, unchecked too; ``tail_depth``
+is the depth that gives a_1 to about one rounding, for ``_erfcx`` and
+:mod:`slowmode.dispersion` alike.
 """
 
 import math
@@ -32,14 +35,17 @@ __all__ = ["erfcx", "phi"]
 _ISQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
+_SQRT2 = math.sqrt(2.0)
 
 
 def _erfcx(y: float) -> float:
     """Scaled complementary error function exp(y^2) erfc(y) for y >= 0.
 
     Uses the library erfc with explicit rescaling while exp(y^2) is
-    representable and erfc(y) is still a normal double, and the
-    large-argument asymptotic series beyond that.
+    representable and erfc(y) is still a normal double, and Laplace's
+    fraction beyond that: phi(u) = sqrt(pi/2) erfcx(y) at u = y sqrt(2)
+    gives erfcx(y) = (1/sqrt(pi)) / (y + 1/(sqrt(2) a_1(u))).  Where u
+    overflows, a_1(u) is inf and the value its limit 1/(y sqrt(pi)).
     """
     if y <= 25.0:
         # y^2 = hi + lo exactly (Dekker split), so y*y's rounding stays out.
@@ -48,16 +54,8 @@ def _erfcx(y: float) -> float:
         hi = y * y
         lo = (yh * yh - hi) + (y - yh) * (y + yh)
         return math.exp(hi) * math.erfc(y) * (1.0 + lo)
-    # erfcx(y) ~ (1/(y sqrt(pi))) * sum_n (-1)^n (2n-1)!! / (2 y^2)^n
-    inv2y2 = 1.0 / (2.0 * y * y)
-    term = 1.0
-    acc = 1.0
-    for n in range(1, 26):
-        term *= -(2 * n - 1) * inv2y2
-        acc += term
-        if abs(term) < 1e-17 * acc:
-            break
-    return acc * _ISQRT_PI / y
+    u = y * _SQRT2
+    return _ISQRT_PI / (y + 1.0 / (_SQRT2 * laplace_tail(u, tail_depth(u))))
 
 
 def laplace_tail(y: float, depth: int) -> float:
@@ -67,13 +65,20 @@ def laplace_tail(y: float, depth: int) -> float:
     ``depth`` levels below its first y and evaluated bottom-up.
 
     For y > 0 every level adds positive terms, so nothing cancels;
-    ``depth`` = ceil(500/y^2) + 8 gives a_1 to about one rounding for
+    at :func:`tail_depth` levels it gives a_1 to about one rounding for
     y >= 3, and a_1(y) -> y as y -> inf.
     """
     tail = y
     for n in range(depth + 1, 1, -1):
         tail = y + n / tail
     return tail
+
+
+def tail_depth(y: float) -> int:
+    """Levels of Laplace's fraction that give a_1(y) to about one
+    rounding for y >= 3, ceil(500/y^2) + 8; y * y overflows to inf, and
+    the depth to 8, for the largest y."""
+    return math.ceil(500.0 / (y * y)) + 8
 
 
 def erfcx(y: float) -> float:

@@ -7,6 +7,7 @@ A and its real form B.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -590,6 +591,82 @@ class TestSimulateDensity:
         op = build_operator(tau_k / tau, tau, q)
         _, density = simulate_density(op, t_end=0.01 * tau)
         assert np.all(np.abs(density) <= 1.0 + 1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(2, 256),
+        tau_k=st.floats(0.0, 3.0),
+        tau_exponent=st.integers(-1000, 1000),
+        dt_mantissa=st.floats(1.0, 2.0, exclude_max=True),
+        dt_exponent=st.integers(-997, 1018),
+    )
+    @example(q=2, tau_k=1.0, tau_exponent=-1023, dt_mantissa=1.0, dt_exponent=-997)
+    @example(q=256, tau_k=1.71, tau_exponent=0, dt_mantissa=1.0, dt_exponent=1018)
+    def test_expm_plan_matches_the_dense_column_sum(
+        self, q, tau_k, tau_exponent, dt_mantissa, dt_exponent
+    ):
+        # The scaling s and degree d come from ||T||_inf, read as row
+        # sums off T's diagonals; |T| is symmetric, so they are the
+        # dense column sums.  The oracle takes s from those, with a
+        # quarter of the norm so that it stays finite, and d as the
+        # least degree whose remainder bound theta^(d+1)/(d+1)! falls
+        # below 2^-54, in exact fractions.
+        tau = math.ldexp(1.0, tau_exponent)
+        op = build_operator(tau_k / tau, tau, q)
+        dt = math.ldexp(dt_mantissa, dt_exponent)
+        quarter = float(abs(0.25 * op.matrix).sum(axis=0).max())
+        squarings = max(0, math.frexp(dt)[1] + math.frexp(quarter)[1] + 3)
+        theta = 4 * Fraction(quarter) * Fraction(dt) / 2**squarings
+        assert theta < Fraction(1, 2)
+        n = 2
+        while theta**n >= Fraction(math.factorial(n), 2**54):
+            n += 1
+        plans = []
+
+        class Planned(Exception):
+            pass
+
+        def planned(diagonals, h, degree):
+            plans.append((h, degree))
+            raise Planned
+
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(Planned):
+            patch.setattr(kinetic, "_taylor_part", planned)
+            simulate_density(op, t_end=dt, dt=dt, method="expm")
+        assert plans == [(math.ldexp(dt, -squarings), n - 1)]
+
+    def test_expm_at_the_largest_generator(self):
+        # At k = 1e308 and tau = 1e-308, ||T||_inf overflows while its
+        # quarter does not, so the plan must not form the norm itself;
+        # the scaled trace then decays as the one at k = tau = 1.
+        rate = simulate_decay(build_operator(1e308, 1e-308, 3), method="expm").rate
+        unit = simulate_decay(build_operator(1.0, 1.0, 3), method="expm").rate
+        assert rate * 1e-308 == pytest.approx(unit, rel=1e-8)
+
+    def test_unknown_method_is_refused_before_any_work(self):
+        # t_end / dt asks for an 8e6-step time grid, 61 MiB: the
+        # refusal must come before it is allocated.
+        op = build_operator(0.5, 1.0, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="unknown integration method 'RK4'"):
+                simulate_density(op, t_end=1e6, dt=0.125, method="RK4")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_default_horizon_that_overflows_is_refused(self):
+        # 40 tau overflows for tau = 1e307; the refusal names the
+        # default, which the caller never passed, and an explicit
+        # horizon still runs.
+        op = build_operator(1e-307, 1e307, 4)
+        with pytest.raises(
+            ValueError, match=r"^the default t_end = 40 tau overflows for tau = 1e\+307"
+        ):
+            simulate_density(op)
+        _, density = simulate_density(op, t_end=1e308)
+        assert density[0] == 1.0
 
     def test_rejects_bad_arguments(self):
         op = build_operator(0.5, 1.0, 64)

@@ -62,6 +62,46 @@ class TestErfcx:
         assert below > above
         assert abs(below - above) <= 4e-12
 
+    def test_matches_mpmath_past_the_switch(self):
+        # Past 25 every value comes from Laplace's fraction; mpmath's
+        # erfcx(y) = U(1/2, 1/2, y^2)/sqrt(pi) takes no erfc or exp(y^2),
+        # which overflow there.  The asymptotic series this route
+        # replaced erred by up to 4.1e-16, and beyond 2.5e-16 at about
+        # 2% of points in (25, 1e3), where the fraction runs deepest; so
+        # that band gets 1,000 points of its own.
+        rng = np.random.default_rng(1)
+        ys = np.exp(
+            np.concatenate(
+                [
+                    rng.uniform(math.log(25.0), math.log(1e307), 2000),
+                    rng.uniform(math.log(25.0), math.log(1e3), 1000),
+                ]
+            )
+        )
+        with mpmath.workdps(30):
+            for y in [*map(float, ys), math.nextafter(25.0, 26.0), 1e307]:
+                exact = mpmath.hyperu(0.5, 0.5, mpmath.mpf(y) ** 2) / mpmath.sqrt(mpmath.pi)
+                assert float(abs(erfcx(y) / exact - 1)) <= 2.5e-16, y
+
+    def test_fraction_route_past_the_switch(self, monkeypatch):
+        # One call of the fraction kernel per value past 25, at
+        # u = y sqrt(2) and the depth dispersion uses, none up to 25;
+        # the largest doubles give the subnormal tail 1/(y sqrt(pi)).
+        calls = []
+        laplace_tail = special.laplace_tail
+
+        def recorded(u, depth):
+            calls.append((u, depth))
+            return laplace_tail(u, depth)
+
+        monkeypatch.setattr(special, "laplace_tail", recorded)
+        erfcx(25.0)
+        assert calls == []
+        erfcx(30.0)
+        u = 30.0 * math.sqrt(2.0)
+        assert calls == [(u, special.tail_depth(u))]
+        assert erfcx(1.7e308) == 3.31876225616327e-309
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="erfcx argument must be >= 0, got -0.5"):
             erfcx(-0.5)

@@ -136,6 +136,10 @@ CHECKS = {
             (["simulate", "--tau", "nan"], "--tau must be positive, got nan"),
             (["simulate", "--kmax", "1", "--dt", "-1"], "dt must be in (0, t_end], got -1.0"),
             (["simulate", "--kmax", "1", "--t-end", "0"], "t_end must be positive, got 0.0"),
+            (
+                "simulate --tau 1e307 --points 1 --kmax 1e-307 --velocities 4".split(),
+                "the default t_end = 40 tau overflows for tau = 1e+307: give t_end explicitly",
+            ),
             (["spectrum", "--k", "0.5", "--tau", "-1"], "--tau must be positive, got -1.0"),
             (
                 ["spectrum", "--k", "0.5", "--gap-threshold", "-1"],
