@@ -38,7 +38,6 @@ evaluated at the switch itself once, at import, and a point that
 takes the fraction route raises SelfCheckError if they disagree.
 """
 
-import math
 import sys
 from typing import NamedTuple
 
@@ -58,7 +57,7 @@ __all__ = [
 
 #: Critical value of the scaled wave number x = tau k: the slow mode
 #: exists iff x < CRITICAL_COUPLING = phi(0) = sqrt(pi/2).
-CRITICAL_COUPLING = math.sqrt(0.5 * math.pi)
+CRITICAL_COUPLING = phi(0.0)
 
 #: Points with CRITICAL_COUPLING - tau k within this window are flagged
 #: near-critical: still resolvable, but y -> 0 and the mode is about to

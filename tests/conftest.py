@@ -710,6 +710,18 @@ def run_python(args) -> subprocess.CompletedProcess:
     )
 
 
+def reference_cell(value) -> str:
+    """A value in the README's CSV cell convention: None -> empty,
+    bool -> true/false, floats via repr, anything else via str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def csv_sections(text: str) -> list[list[list[str]]]:
     """Split multi-section CSV output into [[row, ...], ...]."""
     sections = []

@@ -13,7 +13,7 @@ import pytest
 
 from slowmode import cli, comparison_svg, critical_wave_number, spectrum_svg
 
-from conftest import a000699, csv_sections, run_cli, run_python, source_env
+from conftest import a000699, csv_sections, reference_cell, run_cli, run_python, source_env
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -251,6 +251,7 @@ class TestCompareCommand:
 
     def test_svg_has_one_path_per_curve(self, compare_run):
         _, svg_path = compare_run
+        assert svg_path.read_text(encoding="utf-8").startswith("<?xml")
         root = ET.parse(svg_path).getroot()
         paths = list(root.iter(f"{SVG_NS}path"))
         assert len(paths) == 5  # exact + four truncations
@@ -348,6 +349,18 @@ class TestSimulateCommand:
         assert result.returncode == 0, result.stderr
         assert float(csv_sections(result.stdout)[0][1][6]) == 0.01 * 1e-308
 
+    def test_methods_agree_at_256_velocities(self, capsys):
+        # RK4 and expm give the same fitted rates on the largest grid.
+        rates = []
+        for method in ("rk4", "expm"):
+            argv = ["simulate", "--points", "2", "--kmin", "0.2", "--kmax", "0.8"]
+            argv += ["--velocities", "256", "--method", method, "--format", "json"]
+            assert cli.main(argv) == 0
+            points = json.loads(capsys.readouterr().out)["points"]
+            rates.append([point["fitted_rate"] for point in points])
+        assert len(rates[0]) == 2
+        assert rates[0] == pytest.approx(rates[1], rel=0.0, abs=1e-8)
+
     @pytest.mark.parametrize(
         "args", [["--t-end", "0.01", "--dt", "0.01"], ["--dt", "40", "--method", "expm"]]
     )
@@ -409,19 +422,8 @@ class TestSpectrumCommand:
         assert payload["essential_rate"] == -1.0
 
 
-def _render(value) -> str:
-    """A JSON value in the README's CSV cell convention."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _table(header, rows):
-    return [list(header)] + [[_render(v) for v in row] for row in rows]
+    return [list(header)] + [[reference_cell(v) for v in row] for row in rows]
 
 
 def _record_table(header, records):
@@ -506,8 +508,11 @@ def _spectrum_sections(payload, headers):
             "expm",
         ],
         ["spectrum", "--k", "0.5", "--velocities", "8"],
+        ["spectrum", "--k", "0.5", "--velocities", "16"],
+        ["spectrum", "--k", "0.5", "--velocities", "17"],
     ],
-    ids=["branch", "branch-excluded", "ce", "compare", "simulate", "spectrum"],
+    ids=["branch", "branch-excluded", "ce", "compare", "simulate", "spectrum"]
+    + ["spectrum-16", "spectrum-17"],
 )
 def test_json_matches_csv(args):
     # Every CSV cell is the JSON value at its place in the documented
@@ -537,10 +542,27 @@ def test_json_matches_csv(args):
         assert payload["excluded"] == [float(row[0]) for row in excluded]
 
 
+#: CSV runs across the code paths: tau k where the branch takes Laplace's
+#: fraction, q = 2, even and odd q under both methods, grids past the
+#: critical wave number, and k near the double range.
+CSV_RUNS = [
+    "branch --kmin 1e-6 --kmax 2e-6 --points 2",
+    "simulate --points 1 --velocities 16",
+    "simulate --points 1 --velocities 16 --method expm",
+    "simulate --points 1 --velocities 17",
+    "simulate --points 1 --velocities 17 --method expm",
+    "simulate --points 2 --kmin 1.3 --kmax 3 --velocities 16",
+    "simulate --points 2 --kmin 0.2 --kmax 2.4 --velocities 2 --method rk4",
+    "simulate --points 2 --kmin 0.2 --kmax 2.4 --velocities 2 --method expm",
+    "simulate --tau 1e-308 --kmin 1e308 --kmax 1.7e308 --points 1 --velocities 3 --method expm",
+]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["branch", "--points", "5"], ["compare", "--points", "5", "--orders", "1,2"]],
-    ids=["branch", "compare"],
+    [["branch", "--points", "5"], ["compare", "--points", "5", "--orders", "1,2"]]
+    + [run.split() for run in CSV_RUNS],
+    ids=["branch", "compare", *CSV_RUNS],
 )
 def test_csv_builds_no_json_payload(argv, monkeypatch, capsys):
     # The JSON renderer runs only for --format json.
@@ -688,6 +710,21 @@ class TestErrorHandling:
             (["branch", "--kmin", "5"], "the critical wave number (default --kmax)"),
             (["simulate", "--kmin", "5"], "the critical wave number (default --kmax)"),
             (["branch", "--kmin", "2.0", "--kmax", "1.0"], "--kmax must exceed --kmin"),
+            (["simulate", "--points", "1", "--dt", "-1"], "dt must be in (0, t_end], got -1.0"),
+            (["ce", "--order", "201"], "order must be in 1..200, got 201"),
+            (["compare", "--orders", "1,151", "--points", "2"], "truncation order 151"),
+            # A step of 1e307: the density is zero after one step, and at
+            # q = 256 the scaling squarings stop at their fixed point.
+            (
+                "simulate --points 1 --kmin 2 --kmax 3 --velocities 4 --t-end 1e308 --dt 1e307 "
+                "--method expm".split(),
+                "density trace vanishes inside the fit window",
+            ),
+            (
+                "simulate --points 1 --kmin 0.5 --kmax 0.6 --velocities 256 --t-end 1e308 "
+                "--dt 1e307 --method expm".split(),
+                "density trace vanishes inside the fit window",
+            ),
         ],
     )
     def test_refusal_names_the_input(self, args, named):
@@ -749,11 +786,14 @@ class TestErrorHandling:
             (["simulate", "--kmin", "1e-300", "--kmax", "2e-300", "--velocities", "2"], 3, 0.0),
             (["simulate", "--tau", "1e-300", "--kmin", "0.5", "--kmax", "0.6"]
              + ["--velocities", "3"], 3, -2.5e-301),
+            (["simulate", "--tau", "0.5", "--kmin", "0", "--velocities", "65", "--method", "expm"]
+             + ["--t-end", "1e15", "--dt", "1e14"], 2, 0.0),
         ],
     )
     def test_slow_rate_at_tiny_tau_k(self, args, column, expected):
         # lambda = -tau k^2 to leading order: -1e-306, -1e-600 (which
-        # rounds to zero) and -2.5e-301.  x y - 1 cancelled here.
+        # rounds to zero) and -2.5e-301.  x y - 1 cancelled here.  At
+        # k = 0, stepped by expm to t = 1e15, the fitted rate is exactly 0.
         result = run_cli(args + ["--points", "1"])
         assert result.returncode == 0
         value = float(csv_sections(result.stdout)[0][1][column])
@@ -869,6 +909,13 @@ class TestErrorHandling:
             args = ["-c", f"import sys; from slowmode.cli import main; sys.exit(main(['{flag}']))"]
         result = self.run_to_dev_full(args, unbuffered)
         assert (result.returncode, result.stderr) == (3, self.FULL_DEVICE)
+
+    @pytest.mark.parametrize("command", ["branch", "ce", "compare", "simulate", "spectrum"])
+    def test_command_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: slowmode {command} ")
 
     def test_argparse_output_still_exits_0(self):
         result = run_cli(["--help"])

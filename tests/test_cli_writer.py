@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_cell
 from slowmode import cli
 
 #: Header identifiers and status words the commands write.
@@ -107,17 +108,6 @@ DOCUMENTS = st.dictionaries(KEYS, JSON_VALUES, max_size=8)
 
 def rows(table) -> list[tuple]:
     return list(zip(*table.columns))
-
-
-def reference_cell(value) -> str:
-    """CSV cell rendering: None -> empty, bool -> true/false, floats via repr."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def reference_csv(sections) -> str:
@@ -259,11 +249,24 @@ def test_one_empty_cell_is_quoted_like_the_csv_module():
         ["branch", "--points", "2500"],
         ["branch", "--kmin", "1.2", "--kmax", "1.3", "--points", "4"],
         ["branch", "--kmin", "2", "--kmax", "3", "--points", "2"],
+        ["branch", "--kmin", "1.2533141", "--points", "2"],
         ["ce", "--order", "30"],
         ["ce", "--order", "5"],
+        # Coefficients past the double range, as decimal strings.
+        ["ce", "--order", "200"],
         ["compare", "--points", "1500", "--orders", "1,2,3,8"],
+        ["compare", "--points", "3"],
+        # The last orders whose coefficients are doubles.
+        ["compare", "--orders", "1,150", "--points", "2"],
+        ["compare", "--orders", "1,2,149,150", "--points", "2"],
         ["simulate", "--points", "2", "--kmin", "1.2", "--kmax", "1.4", "--velocities", "16"],
+        ["simulate"],
+        ["simulate", "--points", "1", "--velocities", "16"],
+        ["simulate", "--points", "2", "--velocities", "256", "--method", "rk4"],
+        ["simulate", "--points", "2", "--velocities", "256", "--method", "expm"],
         ["spectrum", "--k", "0.5", "--velocities", "16"],
+        # Merged: no hydrodynamic mode, a conjugate pair on top.
+        ["spectrum", "--k", "2"],
     ],
     ids=" ".join,
 )

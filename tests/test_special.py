@@ -204,6 +204,9 @@ SOLVE_GRID = [1e-4 * (SQRT_HALF_PI / 1e-4) ** (i / 60) for i in range(60)] + [
 #: c uniform on (0, sqrt(pi/2)), 1,999 points.
 CALL_GRID = [SQRT_HALF_PI * i / 2000 for i in range(1, 2000)]
 
+#: A c whose closed-form upper bound b rounds below its lower bound a.
+INVERTED_BRACKET_C = 1.9503664148857905e-05
+
 
 class TestSolvePhi:
     def test_closed_form_bracket_holds(self):
@@ -292,11 +295,22 @@ class TestSolvePhi:
     def test_bracket_below_resolution_for_tiny_c(self):
         # b - a ~ c^3 is far below one ulp of y ~ 1/c: no loop pass runs,
         # and y is the final Newton step from a, as in the oracle.
-        for c in (1e-5, 1e-300, 2.2250738585072014e-308):
+        for c in (1e-5, INVERTED_BRACKET_C, 1e-300, 2.2250738585072014e-308):
             y, _, passes, _ = solve_phi(c)
             assert passes == 0
             assert (y, passes) == solve_phi_newton_chord(c)[::2]
             assert y == pytest.approx(1.0 / c, rel=1e-9)
+        # At this c the closed-form b rounds one ulp below a; clamped to
+        # a, the bracket has width 0, and the branch is still exact.
+        c = INVERTED_BRACKET_C
+        a, b = 1.0 / c - c, (3.0 - math.sqrt(1.0 + 4.0 * c * c)) / (2.0 * c)
+        assert b < a
+        y, width, passes, _ = solve_phi(c)
+        assert (y, width, passes) == (a, 0.0, 0)
+        eigenvalue = branch_point(c, 1.0).eigenvalue
+        with mpmath.workdps(50):
+            exact = c * phi_root_mp(c, y) - 1
+            assert abs((eigenvalue - exact) / exact) <= 3.6e-17
 
 
 

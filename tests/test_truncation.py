@@ -159,14 +159,14 @@ class TestClassifyStability:
         assert max(bounds) == bounds[1] == 2
 
     def test_unstable_roots_precede_criticality(self):
-        # Every even order up to 150 changes sign at x <= 1, below
+        # Every even order up to 150 changes sign at 0 < x <= 1, below
         # sqrt(pi/2), and from 151 on c_N exceeds the double range and
         # the order is refused: no truncation turns positive only past
         # the critical point.
         series = ce_coefficients(150)
         for order in range(2, 151, 2):
             report = classify_stability(series, order)
-            assert report.sign_change_x <= 1.0 < CRITICAL_COUPLING
+            assert 0.0 < report.sign_change_x <= 1.0 < CRITICAL_COUPLING
             assert report.precedes_criticality
 
     def test_roots_decrease_with_order(self, series10):
