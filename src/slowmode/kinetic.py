@@ -16,12 +16,14 @@ A on a q-node velocity grid: q moments and q nodes name one system.
 T's symmetric part is diag(0, -1/tau, ...), so the flow is
 non-expansive and every eigenvalue has real part in [-1/tau, 0].
 
-T is stored highest moment first, moment n at index q - 1 - n, so the
-density vector is e_(q-1).  LAPACK's QR iteration deflates from the
-bottom of the matrix; with the density and low moments there,
-``eigvals`` at 256 moments takes about two thirds of its time in the
-natural order.  The largest node v_max, the largest zero of He_q, sets
-the default time step and the overflow and roundoff checks.
+T is held as its three diagonals, so ``build_operator`` allocates
+nothing q x q; the dense matrix is assembled when read, for the
+eigensolver.  It is stored highest moment first, moment n at index
+q - 1 - n, so the density vector is e_(q-1).  LAPACK's QR iteration
+deflates from the bottom of the matrix; with the density and low
+moments there, ``eigvals`` at 256 moments takes about two thirds of its
+time in the natural order.  The largest node v_max, the largest zero of
+He_q, sets the default time step and the overflow and roundoff checks.
 
 The operator's spectrum consists of a cluster of modes approximating the
 continuum at Re = -1/tau plus, for tau k < sqrt(pi/2), one isolated real
@@ -30,8 +32,8 @@ eigenvalue converging spectrally (in q) to the slow decay rate from
 therefore measures the decay rate a closure should reproduce.  Both
 integrators, RK4 and the exact exponential, step with a Taylor
 polynomial of the propagator squared up from a short step, so only
-``operator_spectrum`` calls a general eigensolver.  T is tridiagonal,
-so the degree-d polynomial is built on its own 2d + 1 diagonals in
+``operator_spectrum`` calls a general eigensolver.  The degree-d
+polynomial is built from T's three diagonals on its own 2d + 1 in
 O(d^2 q), and written into a dense q x q matrix in O(q^2); the
 squarings, and RK4's norm check, are the only q x q matrix products,
 O(q^3) each.  They run in the polynomial's matrix and two more q x q
@@ -78,8 +80,10 @@ _MAX_STEP_NODES = 2**24
 class DiscreteOperator(NamedTuple):
     """Generator of one Fourier mode with q Hermite moments.
 
-    ``matrix`` is the real tridiagonal q x q matrix T of the module
-    docstring, highest moment first, and ``density_vector`` is
+    ``diagonals`` is the real tridiagonal q x q matrix T of the module
+    docstring, highest moment first, held as the 3 x q array whose
+    column i is T[i, i-1], T[i, i] and T[i, i+1], zero off the matrix;
+    ``matrix`` assembles the dense T from it.  ``density_vector`` is
     e_(q-1), the density moment in that order.  ``v_max`` is the
     largest node of the equivalent q-node velocity grid.
     """
@@ -87,8 +91,21 @@ class DiscreteOperator(NamedTuple):
     k: float
     tau: float
     v_max: float
-    matrix: np.ndarray
+    diagonals: np.ndarray
     density_vector: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense q x q T, a new array on each read.  Its entries are
+        assigned, not summed, so a -0.0 on a diagonal stays -0.0."""
+        import numpy as np
+
+        d = self.diagonals
+        t = np.diag(d[1])
+        below = np.arange(1, d.shape[1])
+        t[below, below - 1] = d[0, 1:]
+        t[below - 1, below] = d[2, :-1]
+        return t
 
 
 class SpectrumResult(NamedTuple):
@@ -154,14 +171,13 @@ def build_operator(k: float, tau: float, q: int) -> DiscreteOperator:
         )
     import numpy as np
 
-    t = np.diag(np.full(q, -1.0 / tau))
-    t[-1, -1] = 0.0
-    below = np.arange(1, q)
-    t[below, below - 1] = k * np.sqrt(np.arange(q - 1.0, 0.0, -1.0))
-    t[below - 1, below] = -t[below, below - 1]
+    diagonals = np.zeros((3, q))
+    diagonals[0, 1:] = k * np.sqrt(np.arange(q - 1.0, 0.0, -1.0))
+    diagonals[1, :-1] = -1.0 / tau
+    diagonals[2, :-1] = -diagonals[0, 1:]
     density = np.zeros(q)
     density[-1] = 1.0
-    return DiscreteOperator(k=k, tau=tau, v_max=v_max, matrix=t, density_vector=density)
+    return DiscreteOperator(k=k, tau=tau, v_max=v_max, diagonals=diagonals, density_vector=density)
 
 
 def operator_spectrum(
@@ -240,31 +256,10 @@ def _square(y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     out[np.logical_and(below, above, out=below)] = 0.0
 
 
-def _three_diagonals(t: np.ndarray) -> np.ndarray:
-    """The 3 x q array whose column i holds T[i, i-1], T[i, i] and
-    T[i, i+1], zero off the matrix.
-
-    Raises ValueError, naming the matrix, when T has a nonzero entry
-    off its three diagonals, which the array would drop.
-    """
-    import numpy as np
-
-    diagonals = np.zeros((3, t.shape[0]))
-    diagonals[0, 1:] = t.diagonal(-1)
-    diagonals[1] = t.diagonal()
-    diagonals[2, :-1] = t.diagonal(1)
-    if np.count_nonzero(diagonals) != np.count_nonzero(t):
-        raise ValueError(
-            "op.matrix has entries off its three diagonals: simulate_density "
-            "steps only a tridiagonal generator, such as build_operator's T"
-        )
-    return diagonals
-
-
 def _taylor_part(diagonals: np.ndarray, h: float, degree: int) -> np.ndarray:
     """Y = hT(I + hT/2(I + ... (I + hT/d))), the degree-d Taylor
     polynomial of exp(hT) less the identity, for the tridiagonal T
-    given as its ``_three_diagonals``.
+    given as its ``DiscreteOperator.diagonals``.
 
     Y is a polynomial of degree d in T, so it has d diagonals on either
     side of its own, and each Horner step Y <- C + C Y, C = (h/j) T,
@@ -366,8 +361,7 @@ def simulate_density(
     rows are stepped.  A last
     step past the double range raises ValueError, as do, before any
     allocation, an unknown method, a default t_end = 40 tau that
-    overflows, more than 2**24 steps x nodes, and then an
-    ``op.matrix`` with a nonzero entry off its three diagonals.
+    overflows, and more than 2**24 steps x nodes.
     """
     import numpy as np
 
@@ -384,7 +378,7 @@ def simulate_density(
     dt = _validate_dt(dt, t_end)
 
     ratio = t_end / dt
-    q = op.matrix.shape[0]
+    q = op.diagonals.shape[1]
     if ratio * q > _MAX_STEP_NODES:
         raise ValueError(
             f"dt = {dt!r} needs {ratio:.3g} steps to reach t_end = {t_end!r}, "
@@ -394,7 +388,6 @@ def simulate_density(
     steps = max(1, math.ceil(ratio - 1e-12))
     if not math.isfinite(steps * dt):
         raise ValueError(f"{steps} steps of dt = {dt!r} end past the double range")
-    diagonals = _three_diagonals(op.matrix)
     times = np.linspace(0.0, steps * dt, steps + 1)
 
     # The least power of two m >= 2 with m^2 > steps: 2^L > steps >= 2^(L-1)
@@ -407,7 +400,7 @@ def simulate_density(
         # of the norm stays finite where the norm itself would overflow.
         # ||dt T||_inf = 4 dt quarter < 2^(e_dt + e_quarter + 2) by frexp,
         # which neither overflows nor rounds; so theta = ||hT||_inf < 1/2.
-        quarter = float(np.abs(0.25 * diagonals).sum(axis=0).max())
+        quarter = float(np.abs(0.25 * op.diagonals).sum(axis=0).max())
         squarings = max(0, math.frexp(dt)[1] + math.frexp(quarter)[1] + 3)
         theta = quarter * math.ldexp(dt, 2 - squarings)
         # With theta < 1/2 the remainder past degree d = n - 1 is below
@@ -415,7 +408,7 @@ def simulate_density(
         degree = next(n for n in range(2, 64) if theta**n < math.ldexp(math.factorial(n), -54)) - 1
     h = math.ldexp(dt, -squarings)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _taylor_part(diagonals, h, degree)
+        y = _taylor_part(op.diagonals, h, degree)
     # Y and these two are the q x q working set: every squaring writes
     # into ``spare``, which then trades places with Y.
     spare, scratch = np.empty((q, q)), np.empty((q, q))

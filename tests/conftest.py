@@ -424,7 +424,16 @@ def complex_generator(k: float, tau: float, q: int) -> np.ndarray:
     return a
 
 
-def node_form(k: float, tau: float, q: int) -> tuple[np.ndarray, np.ndarray]:
+class DenseGenerator(NamedTuple):
+    """A dense generator and its density vector: the two fields of a
+    ``DiscreteOperator`` that the dense oracles read, so a generator
+    with no band, such as ``node_form``'s B, runs through them too."""
+
+    matrix: np.ndarray
+    density_vector: np.ndarray
+
+
+def node_form(k: float, tau: float, q: int) -> DenseGenerator:
     """The real node form (B, s') of A, as ``build_operator`` assembled it
     before it built the moment form T.
 
@@ -448,7 +457,7 @@ def node_form(k: float, tau: float, q: int) -> tuple[np.ndarray, np.ndarray]:
     even, odd = np.arange(q % 2, n), np.arange(n, q)
     b[even, odd] = k * nodes[n:]
     b[odd, even] = -b[even, odd]
-    return b, s
+    return DenseGenerator(matrix=b, density_vector=s)
 
 
 def _size(op: slowmode.DiscreteOperator) -> int:
@@ -508,7 +517,7 @@ def sequential_rk4_longdouble(op: slowmode.DiscreteOperator, dt: float, steps: i
 
 
 def dense_horner_trace(
-    op: slowmode.DiscreteOperator, dt: float, steps: int, method: str
+    op: slowmode.DiscreteOperator | DenseGenerator, dt: float, steps: int, method: str
 ) -> np.ndarray:
     """``simulate_density(op, dt=dt, method=method)`` as it ran while its
     Horner steps Y <- C + C Y, C = (h/j) T, were dense q x q products:
@@ -516,8 +525,8 @@ def dense_horner_trace(
     scaling rule, the same split n = a + m b, squarings written as
     2.0 * y + y @ y with the drop of entries below 2^-500 max|Y|, and
     the stop of the scaling squarings at a fixed point.  No band is
-    assumed, so it also steps a dense generator such as ``node_form``'s B
-    from its s'."""
+    assumed, so it also steps a ``DenseGenerator`` such as ``node_form``'s
+    B and s'."""
     matrix, s = op.matrix, op.density_vector
     degree, squarings = 4, 0
     if method == "expm":
@@ -565,7 +574,7 @@ def split_rk4_unflushed(
     0..j - 1 and Y_j = P^j - I before each squaring: the density trace,
     and the last squared Y, whose tiny entries the drop would have cut."""
     q = _size(op)
-    y = kinetic._taylor_part(kinetic._three_diagonals(op.matrix), dt, 4)
+    y = kinetic._taylor_part(op.diagonals, dt, 4)
     m = 2
     while m * m < steps + 1:
         m *= 2

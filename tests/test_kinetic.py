@@ -137,19 +137,37 @@ class TestBuildOperator:
             assert (np.vdot(g, a @ g)).real <= 1e-10 * np.vdot(g, g).real
             assert (np.vdot(g, t @ g)).real <= 1e-12 * np.vdot(g, g).real
 
-    @pytest.mark.parametrize("q", [2, 3, 64])
+    @pytest.mark.parametrize("q", [2, 3, 17, 64, 256])
     def test_tridiagonal_moment_system(self, q):
         # T_00 = 0, T_nn = -1/tau, T_(n,n+1) = k sqrt(n+1) = -T_(n+1,n),
-        # nothing else, stored highest moment first.
-        k, tau = 0.7, 0.5
-        op = build_operator(k, tau, q)
-        t = op.matrix[::-1, ::-1]  # moment n at index n
-        couplings = k * np.sqrt(np.arange(1.0, q))
-        expected = np.diag(np.r_[0.0, np.full(q - 1, -1.0 / tau)])
-        expected += np.diag(couplings, 1) - np.diag(couplings, -1)
-        assert np.array_equal(t, expected)
-        assert op.matrix.dtype == float
-        assert (op.k, op.tau) == (k, tau)
+        # nothing else, stored highest moment first.  The view keeps the
+        # signs of its zeros, which the pinned outputs were computed
+        # with: -T_(n+1,n) is -0.0 at k = 0, and every other zero +0.0.
+        tau = 0.5
+        negative = np.diag(np.arange(q) > 0) | np.eye(q, k=-1, dtype=bool)
+        for k in (0.0, 0.7):
+            op = build_operator(k, tau, q)
+            t = op.matrix[::-1, ::-1]  # moment n at index n
+            couplings = k * np.sqrt(np.arange(1.0, q))
+            expected = np.diag(np.r_[0.0, np.full(q - 1, -1.0 / tau)])
+            expected += np.diag(couplings, 1) - np.diag(couplings, -1)
+            assert np.array_equal(t, expected)
+            assert np.array_equal(np.signbit(t), negative)
+            assert op.matrix.dtype == float
+            assert (op.k, op.tau) == (k, tau)
+
+    def test_holds_no_dense_matrix(self):
+        # The record holds T's three diagonals, 6 KiB at q = 256; one
+        # dense T would be 512 KiB.
+        build_operator(0.5, 1.0, 256)
+        tracemalloc.start()
+        try:
+            op = build_operator(0.5, 1.0, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.diagonals.shape == (3, 256)
+        assert peak < 64 * 2**10
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -202,13 +220,12 @@ class TestRealForm:
         # The node form B of the former build_operator and T are similar:
         # equal spectra as multisets, to roundoff of the larger of the
         # collision and advection scales, and equal rk4 and expm traces.
-        # B is dense, which simulate_density refuses, so its traces come
-        # from the dense-Horner oracle.
+        # B is dense, and a DiscreteOperator holds only three diagonals,
+        # so its traces come from the dense-Horner oracle.
         op = build_operator(k, 1.0, q)
-        b, s = node_form(k, 1.0, q)
-        nodal = op._replace(matrix=b, density_vector=s)
+        nodal = node_form(k, 1.0, q)
         moment = np.linalg.eigvals(op.matrix)
-        distance = np.abs(moment[:, None] - np.linalg.eigvals(b)[None, :])
+        distance = np.abs(moment[:, None] - np.linalg.eigvals(nodal.matrix)[None, :])
         rows, cols = linear_sum_assignment(distance)
         assert float(distance[rows, cols].max()) <= 1e-13 * max(1.0, k * op.v_max)
         for method in ("rk4", "expm"):
@@ -514,13 +531,14 @@ class TestSimulateDensity:
         # and on the band it is the dense Horner loop's Y to roundoff
         # (bit for bit at k = 0), also when the band is wider than Y.
         for k in (0.0, 1.3):
-            t = build_operator(k, 1.0, q).matrix
+            op = build_operator(k, 1.0, q)
+            t = op.matrix
             h = 0.05
             dense = (h / degree) * t
             for j in range(degree - 1, 0, -1):
                 c = (h / j) * t
                 dense = c + c @ dense
-            y = kinetic._taylor_part(kinetic._three_diagonals(t), h, degree)
+            y = kinetic._taylor_part(op.diagonals, h, degree)
             offsets = np.abs(np.subtract.outer(np.arange(q), np.arange(q)))
             assert y.shape == (q, q) and not y[offsets > degree].any()
             if k == 0.0:
@@ -542,27 +560,6 @@ class TestSimulateDensity:
             out, scratch = np.full_like(y, np.nan), np.full_like(y, np.nan)
             kinetic._square(y, out, scratch)
             assert np.array_equal(out, expected)
-
-    def test_refuses_entries_off_the_three_diagonals(self):
-        # Only T's three diagonals are stepped, so any other nonzero
-        # entry would be dropped; it is refused instead, naming the
-        # matrix.  Explicit zeros, -0.0 included, are not entries.
-        op = build_operator(0.5, 1.0, 8)
-        b, s = node_form(0.5, 1.0, 8)
-        corner = op.matrix.copy()
-        corner[0, 2] = 1e-300
-        poisoned = op.matrix.copy()
-        poisoned[-1, 0] = np.nan
-        refused = "op.matrix has entries off its three diagonals"
-        nodal = op._replace(matrix=b, density_vector=s)
-        for bad in (nodal, op._replace(matrix=corner), op._replace(matrix=poisoned)):
-            for method in ("rk4", "expm"):
-                with pytest.raises(ValueError, match=refused):
-                    simulate_density(bad, method=method)
-        signed = op.matrix.copy()
-        signed[0, 2] = -0.0
-        _, density = simulate_density(op._replace(matrix=signed), t_end=1.0)
-        assert np.array_equal(density, simulate_density(op, t_end=1.0)[1])
 
     @pytest.mark.parametrize("q", [16, 65, 256])
     @pytest.mark.parametrize("tau_k", [0.0, 0.1, 0.5, 2.0])

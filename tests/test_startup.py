@@ -363,7 +363,7 @@ RECORDS = {
         "iterations",
     ),
     dispersion.BranchTable: ("tau", "critical_k", "points", "excluded"),
-    kinetic.DiscreteOperator: ("k", "tau", "v_max", "matrix", "density_vector"),
+    kinetic.DiscreteOperator: ("k", "tau", "v_max", "diagonals", "density_vector"),
     kinetic.SpectrumResult: (
         "eigenvalues",
         "hydrodynamic",
