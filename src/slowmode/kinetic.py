@@ -17,13 +17,15 @@ T's symmetric part is diag(0, -1/tau, ...), so the flow is
 non-expansive and every eigenvalue has real part in [-1/tau, 0].
 
 T is held as its three diagonals, so ``build_operator`` allocates
-nothing q x q; the dense matrix is assembled when read, for the
-eigensolver.  It is stored highest moment first, moment n at index
-q - 1 - n, so the density vector is e_(q-1).  LAPACK's QR iteration
-deflates from the bottom of the matrix; with the density and low
-moments there, ``eigvals`` at 256 moments takes about two thirds of its
-time in the natural order.  The largest node v_max, the largest zero of
-He_q, sets the default time step and the overflow and roundoff checks.
+nothing q x q; the dense matrix is written when read, for the
+eigensolver, by the band scatter that writes the integrators' Taylor
+polynomials (T is the degree-1 one).  It is stored highest moment
+first, moment n at index q - 1 - n, so the density vector is e_(q-1).
+LAPACK's QR iteration deflates from the bottom of the matrix; with the
+density and low moments there, ``eigvals`` at 256 moments takes about
+two thirds of its time in the natural order.  The largest node v_max,
+the largest zero of He_q, sets the default time step and the overflow
+and roundoff checks.
 
 The operator's spectrum consists of a cluster of modes approximating the
 continuum at Re = -1/tau plus, for tau k < sqrt(pi/2), one isolated real
@@ -83,9 +85,10 @@ class DiscreteOperator(NamedTuple):
     ``diagonals`` is the real tridiagonal q x q matrix T of the module
     docstring, highest moment first, held as the 3 x q array whose
     column i is T[i, i-1], T[i, i] and T[i, i+1], zero off the matrix;
-    ``matrix`` assembles the dense T from it.  ``density_vector`` is
-    e_(q-1), the density moment in that order.  ``v_max`` is the
-    largest node of the equivalent q-node velocity grid.
+    ``matrix`` writes the dense T from it through ``_taylor_part``.
+    ``density_vector`` is e_(q-1), the density moment in that order.
+    ``v_max`` is the largest node of the equivalent q-node velocity
+    grid.
     """
 
     k: float
@@ -96,16 +99,15 @@ class DiscreteOperator(NamedTuple):
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense q x q T, a new array on each read.  Its entries are
-        assigned, not summed, so a -0.0 on a diagonal stays -0.0."""
-        import numpy as np
+        """The dense q x q T, a new array on each read.
 
-        d = self.diagonals
-        t = np.diag(d[1])
-        below = np.arange(1, d.shape[1])
-        t[below, below - 1] = d[0, 1:]
-        t[below - 1, below] = d[2, :-1]
-        return t
+        T is the degree-1 Taylor part of exp(hT) - I at h = 1, so
+        ``_taylor_part`` writes it: at degree 1 its Horner loop is
+        empty, its C = (1/1) T is an exact copy of ``diagonals``, and
+        its scatter assigns each entry rather than summing it, so a -0.0
+        on a diagonal stays -0.0.
+        """
+        return _taylor_part(self.diagonals, 1.0, 1)
 
 
 class SpectrumResult(NamedTuple):
@@ -124,12 +126,14 @@ class SpectrumResult(NamedTuple):
 
 
 class DecayResult(NamedTuple):
-    """Fitted exponential decay of the density trace."""
+    """Fitted exponential decay of the density trace.
+
+    ``rate`` is ``fit_decay_rate``'s default fit, on t >= times[-1] / 2.
+    """
 
     rate: float
     times: np.ndarray
     density: np.ndarray
-    fit_start: float
     method: str
 
 
@@ -388,7 +392,8 @@ def simulate_density(
     steps = max(1, math.ceil(ratio - 1e-12))
     if not math.isfinite(steps * dt):
         raise ValueError(f"{steps} steps of dt = {dt!r} end past the double range")
-    times = np.linspace(0.0, steps * dt, steps + 1)
+    times = np.arange(steps + 1.0)  # scaled in place: times[n] is n dt rounded once
+    times *= dt
 
     # The least power of two m >= 2 with m^2 > steps: 2^L > steps >= 2^(L-1)
     # for L = steps.bit_length().
@@ -450,15 +455,20 @@ def simulate_density(
 def fit_decay_rate(times, density, fit_start: float | None = None) -> float:
     """Decay rate from a log-linear least-squares fit of |rho(t)|.
 
-    Fits on t >= fit_start (default: the second half of the trace),
-    where the fast continuum transient has died out.
+    Fits on t >= fit_start (default: times[-1] / 2, the second half of
+    the trace), where the fast continuum transient has died out.
+    Raises ValueError unless ``times`` is finite and 1-D, ``density``
+    has its shape, and the window holds two distinct times at which
+    the density is finite and nonzero.
     """
     import numpy as np
 
     times = np.asarray(times, dtype=float)
     density = np.asarray(density)
-    if times.ndim != 1 or times.size != density.size or times.size < 2:
+    if times.ndim != 1 or density.shape != times.shape or times.size < 2:
         raise ValueError("times and density must be equal-length 1-D arrays")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if fit_start is None:
         fit_start = 0.5 * float(times[-1])
     window = times >= float(fit_start)
@@ -492,12 +502,10 @@ def simulate_decay(
             f"dt = {float(times[1])!r} reaches t_end in one step, and the decay "
             "fit needs at least two: lower dt or raise t_end"
         )
-    fit_start = 0.5 * float(times[-1])
-    rate = fit_decay_rate(times, density, fit_start)
+    rate = fit_decay_rate(times, density)
     return DecayResult(
         rate=rate,
         times=times,
         density=density,
-        fit_start=fit_start,
         method=method,
     )

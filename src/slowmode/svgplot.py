@@ -109,11 +109,16 @@ def comparison_svg(
     Emits exactly one ``<path>`` per curve; truncation values that leave
     ``_Y_WINDOW`` (they grow without bound past their sign change) or are
     not finite break the corresponding path rather than distorting the
-    frame.  A non-finite entry of ``x`` or ``critical_x`` raises ValueError.
+    frame.  A non-finite entry of ``x`` or ``critical_x``, or a curve
+    without one value per entry of ``x``, raises ValueError.
     """
     xs = list(x)
     if not xs:
         raise ValueError("comparison figure needs at least one grid point")
+    curves = [("exact", exact)] + [(f"truncation N={n}", ys) for n, ys in truncations.items()]
+    for name, ys in curves:
+        if len(ys) != len(xs):
+            raise ValueError(f"{name} must hold one value per grid point: {len(ys)} for {len(xs)}")
     critical_x = float(critical_x)
     _require_finite("critical_x", [critical_x])
     _require_finite("x", xs)

@@ -60,11 +60,17 @@ operators = st.builds(
 
 @st.composite
 def decay_traces(draw):
-    """``times`` and ``density`` of an exponential decay, 2..20 samples."""
+    """``times`` and ``density`` of an exponential decay, 2..20 samples;
+    some have a NaN time, or the density as a 2-D array."""
     size = draw(st.integers(2, 20))
     rate = draw(st.sampled_from([0.0, -0.3, -2.0]))
     times = [0.1 * i for i in range(size)]
-    return {"times": times, "density": [math.exp(rate * t) for t in times]}
+    density = [math.exp(rate * t) for t in times]
+    if draw(st.booleans()):
+        times[draw(st.integers(0, size - 1))] = math.nan
+    if size % 2 == 0 and draw(st.booleans()):
+        density = [density[: size // 2], density[size // 2 :]]
+    return {"times": times, "density": density}
 
 
 @st.composite

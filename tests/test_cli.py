@@ -11,7 +11,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slowmode import cli, comparison_svg, critical_wave_number, spectrum_svg
+from slowmode import build_operator, cli, comparison_svg, critical_wave_number, spectrum_svg
+from slowmode.kinetic import _default_dt
 
 from conftest import a000699, csv_sections, reference_cell, run_cli, run_python, source_env
 
@@ -348,6 +349,18 @@ class TestSimulateCommand:
         )
         assert result.returncode == 0, result.stderr
         assert float(csv_sections(result.stdout)[0][1][6]) == 0.01 * 1e-308
+
+    def test_dt_column_is_the_step_taken(self):
+        # The spacing of a grid built to steps * dt can be one ulp off
+        # the step; the column reports the step itself.
+        result = run_cli(
+            ["simulate", "--tau", "7", "--kmin", "0.6", "--kmax", "0.7"]
+            + ["--points", "1", "--velocities", "256"]
+        )
+        assert result.returncode == 0, result.stderr
+        step = _default_dt(build_operator(0.6, 7.0, 256))
+        assert step == 0.053181792835412925
+        assert float(csv_sections(result.stdout)[0][1][6]) == step
 
     def test_methods_agree_at_256_velocities(self, capsys):
         # RK4 and expm give the same fitted rates on the largest grid.
@@ -1038,6 +1051,15 @@ class TestSvgWriters:
     def test_comparison_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             comparison_svg([], [], {}, critical_x=1.0)
+
+    def test_comparison_rejects_curves_off_the_grid(self):
+        # zip would draw the exact curve through one point and N=1
+        # through three of its four, without a word.
+        truncations = {1: (-0.01, -0.04, -0.09, -0.16)}
+        with pytest.raises(ValueError, match="exact must hold one value per grid point: 1 for 3"):
+            comparison_svg([0.1, 0.2, 0.3], [-0.01], truncations, 1.25)
+        with pytest.raises(ValueError, match="truncation N=1 must hold one value per grid point"):
+            comparison_svg([0.1, 0.2, 0.3], [-0.01, -0.04, -0.09], truncations, 1.25)
 
     def test_spectrum_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ lives on in ``conftest`` as the oracle: its grid, its complex generator
 A and its real form B.
 """
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -143,9 +144,9 @@ class TestBuildOperator:
         # nothing else, stored highest moment first.  The view keeps the
         # signs of its zeros, which the pinned outputs were computed
         # with: -T_(n+1,n) is -0.0 at k = 0, and every other zero +0.0.
-        tau = 0.5
+        # The extremes k = 5e-324, 1e300 and tau = 1e-300 stay finite.
         negative = np.diag(np.arange(q) > 0) | np.eye(q, k=-1, dtype=bool)
-        for k in (0.0, 0.7):
+        for k, tau in itertools.product((0.0, 0.7, 5e-324, 1e300), (0.5, 1e-300)):
             op = build_operator(k, tau, q)
             t = op.matrix[::-1, ::-1]  # moment n at index n
             couplings = k * np.sqrt(np.arange(1.0, q))
@@ -356,6 +357,16 @@ class TestSimulateDensity:
         times_b, expm = simulate_density(op, t_end=10.0, method="expm")
         assert times_a == pytest.approx(times_b, abs=0.0)
         assert np.max(np.abs(rk4 - expm)) <= 1e-8
+
+    def test_time_grid_is_multiples_of_the_step(self):
+        # times[n] is n dt rounded once, so times[1] is the step taken;
+        # a linspace to steps * dt can space its points one ulp off dt.
+        op = build_operator(1.4, 7.0, 64)
+        dt = _default_dt(op)
+        assert dt == 0.047656451707589594
+        times, _ = simulate_density(op)
+        assert times[1] == dt
+        assert np.array_equal(times, np.arange(times.size) * dt)
 
     def test_norm_guard_rejects_large_steps(self):
         op = build_operator(0.5, 1.0, 64)
@@ -752,6 +763,10 @@ class TestFitDecayRate:
             fit_decay_rate([0.0, 1.0], [1.0, 1.0], fit_start=0.9)
         with pytest.raises(ValueError, match="distinct times"):
             fit_decay_rate([0.0, 1.0, 1.0], [1.0, 0.5, 0.5])
+        with pytest.raises(ValueError, match="equal-length 1-D"):
+            fit_decay_rate(np.arange(4.0), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="times must be finite"):
+            fit_decay_rate([0.0, math.nan, 2.0, 3.0], [1.0, 0.5, 0.25, 0.1])
 
 
 class TestSimulateDecay:
@@ -761,7 +776,7 @@ class TestSimulateDecay:
         expected = solve_diffusion_mode(0.5, 1.0)
         assert result.rate == pytest.approx(expected, rel=1e-8)
         assert result.method == "rk4"
-        assert result.fit_start == pytest.approx(0.5 * float(result.times[-1]))
+        assert result.rate == fit_decay_rate(result.times, result.density)
 
     def test_relaxation_time_scaling(self):
         # tau lambda depends on k and tau only through tau k.

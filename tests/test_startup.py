@@ -371,7 +371,7 @@ RECORDS = {
         "gap_threshold",
         "essential_rate",
     ),
-    kinetic.DecayResult: ("rate", "times", "density", "fit_start", "method"),
+    kinetic.DecayResult: ("rate", "times", "density", "method"),
     svgplot._Frame: ("x0", "x1", "y0", "y1"),
     truncation.TruncationReport: (
         "order",
